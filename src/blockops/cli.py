@@ -95,8 +95,8 @@ def _probe_inputs(cfg: ExperimentConfig, seed: int, allow_download: bool) -> np.
 def cmd_inspect(args) -> int:
     tensors, header = load_checkpoint(args.checkpoint)
     cfg = ExperimentConfig.from_dict(header["config"]).validate()
-    init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    bundle = build_model(cfg, init_rng)
+    # restore_parameters overwrites every parameter, so any generator builds it
+    bundle = build_model(cfg, np.random.default_rng(0))
     restore_parameters(bundle.params, tensors)
     inputs = _probe_inputs(cfg, args.probe_seed, args.allow_download)
     trace = inspection.extract_routing_trace(bundle, inputs)

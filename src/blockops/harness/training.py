@@ -1,8 +1,12 @@
-"""Model adapters, evaluation, and the four experiment training loops.
+"""Model bundles, evaluation, the training step, and the four experiment loops.
 
-Every model is wrapped to map a block tensor [batch, B, d] to output blocks
-[batch, N, d]; digit tasks read each output block directly as 10-class
-logits, the image task applies a trainable affine head to one output block.
+Every network speaks one protocol, ``forward(blocks, rng=None, eval_mode=False)
+-> (blocks, traces)``, from a block tensor [batch, B, d] to output blocks
+[batch, N, d] plus its routing traces.  A ``ModelBundle`` is the one place
+that feeds task inputs to the network; digit tasks read each output block
+directly as 10-class logits, the image task applies a trainable affine head
+to one output block.  Every task trains through ``_train_step``; each loop
+keeps its own batch source, evaluation cadence and summary.
 
 Randomness is split into independent streams (init, data, routing noise,
 eval, probe) spawned from the config seed, so trials are bit-reproducible.
@@ -19,7 +23,7 @@ import numpy as np
 from .. import tensor as T
 from ..tensor import Tensor
 from ..nn import (
-    Fnn, FnnConfig, Smfr, SmfrConfig,
+    Fnn, FnnConfig, LayerTrace, Smfr, SmfrConfig,
     routing_regularization_loss, max_abs_routing_logit,
 )
 from ..transformer import Transformer, TransformerConfig
@@ -51,86 +55,38 @@ TASK_SHAPES = {
 }
 
 
-class SmfrAdapter:
-    kind = "smfr"
-
-    def __init__(self, cfg: ExperimentConfig, shape, rng):
-        n_in, n_out, d = shape
-        self.net = Smfr(SmfrConfig(
-            block_size=d,
-            input_blocks=n_in,
-            output_blocks=n_out,
-            stack_width=cfg.model.stack_width,
-            stack_depth=cfg.model.stack_depth,
-            fnn_hidden=list(cfg.model.fnn_hidden),
-            attention=cfg.model.attention,
-            no_context=cfg.variants.no_context,
-            gumbel_temperature=cfg.model.gumbel_temperature,
+def _build_net(cfg: ExperimentConfig, shape, rng):
+    n_in, n_out, d = shape
+    m = cfg.model
+    if m.kind == "smfr":
+        return Smfr(SmfrConfig(
+            block_size=d, input_blocks=n_in, output_blocks=n_out,
+            stack_width=m.stack_width, stack_depth=m.stack_depth,
+            fnn_hidden=list(m.fnn_hidden), attention=m.attention,
+            no_context=cfg.variants.no_context, gumbel_temperature=m.gumbel_temperature,
         ), rng)
-
-    def forward(self, inputs: np.ndarray, rng=None, eval_mode=False):
-        return self.net.forward(Tensor(inputs), rng=rng, eval_mode=eval_mode)
-
-    def parameters(self):
-        return self.net.parameters()
-
-
-class FnnAdapter:
-    kind = "fnn"
-
-    def __init__(self, cfg: ExperimentConfig, shape, rng):
-        n_in, n_out, d = shape
-        self.shape = shape
-        self.net = Fnn(rng, FnnConfig(n_in * d, n_out * d, list(cfg.model.hidden_widths)))
-
-    def forward(self, inputs: np.ndarray, rng=None, eval_mode=False):
-        n_in, n_out, d = self.shape
-        x = Tensor(inputs.reshape(inputs.shape[0], n_in * d))
-        out = self.net.forward(x)
-        return T.reshape(out, (inputs.shape[0], n_out, d)), []
-
-    def parameters(self):
-        return self.net.parameters()
-
-
-class TransformerAdapter:
-    kind = "transformer"
-
-    def __init__(self, cfg: ExperimentConfig, shape, rng):
-        n_in, n_out, d = shape
-        self.net = Transformer(TransformerConfig(
-            block_size=d,
-            input_blocks=n_in,
-            output_blocks=n_out,
-            model_width=cfg.model.model_width,
-            num_heads=cfg.model.num_heads,
-            num_encoder_layers=cfg.model.encoder_layers,
-            num_decoder_layers=cfg.model.decoder_layers,
-            ffn_width=cfg.model.ffn_width,
-        ), rng)
-
-    def forward(self, inputs: np.ndarray, rng=None, eval_mode=False):
-        return self.net.forward(Tensor(inputs)), []
-
-    def parameters(self):
-        return self.net.parameters()
-
-
-_ADAPTERS = {"smfr": SmfrAdapter, "fnn": FnnAdapter, "transformer": TransformerAdapter}
+    if m.kind == "fnn":
+        return Fnn(rng, FnnConfig(n_in * d, n_out * d, list(m.hidden_widths)))
+    return Transformer(TransformerConfig(
+        block_size=d, input_blocks=n_in, output_blocks=n_out,
+        model_width=m.model_width, num_heads=m.num_heads,
+        num_encoder_layers=m.encoder_layers, num_decoder_layers=m.decoder_layers,
+        ffn_width=m.ffn_width,
+    ), rng)
 
 
 class ModelBundle:
-    """A wrapped model plus optional classifier head and its optimizer."""
+    """The network, an optional classifier head, and their optimizer."""
 
     def __init__(self, cfg: ExperimentConfig, shape, init_rng):
         self.cfg = cfg
         self.shape = shape
-        self.model = _ADAPTERS[cfg.model.kind](cfg, shape, init_rng)
+        self.net = _build_net(cfg, shape, init_rng)
         self.head = None
         if cfg.experiment == "bpmnist":
             d = shape[2]
             self.head = Fnn(init_rng, FnnConfig(d, 10, []), name="head")
-        self.params = dict(self.model.parameters())
+        self.params = dict(self.net.parameters())
         if self.head is not None:
             self.params.update(self.head.parameters())
         self.opt = AdamState(
@@ -142,7 +98,22 @@ class ModelBundle:
         )
 
     def forward(self, inputs, rng=None, eval_mode=False):
-        return self.model.forward(inputs, rng=rng, eval_mode=eval_mode)
+        """Blocks [batch, B, d], a numpy array or (algo's recurrent unroll) a
+        graph Tensor, to (output blocks [batch, N, d], traces).
+
+        The flat ``Fnn`` sees the blocks concatenated and has no routing to
+        trace; the block models take the blocks as they are."""
+        if self.cfg.model.kind == "fnn":
+            n_in, n_out, d = self.shape
+            batch = inputs.shape[0]
+            if isinstance(inputs, Tensor):
+                flat = T.reshape(inputs, (batch, n_in * d))
+            else:
+                flat = Tensor(inputs.reshape(batch, n_in * d))
+            return T.reshape(self.net.forward(flat), (batch, n_out, d)), []
+        if not isinstance(inputs, Tensor):
+            inputs = Tensor(inputs)
+        return self.net.forward(inputs, rng=rng, eval_mode=eval_mode)
 
     def logits(self, out_blocks: Tensor) -> Tensor:
         """Classification logits: blocks directly for digit tasks, affine head
@@ -156,11 +127,6 @@ class ModelBundle:
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
-
-    def step(self, loss: Tensor) -> None:
-        loss.backward(params=list(self.params.values()))
-        clip_global_norm(list(self.params.values()), self.cfg.clip_norm)
-        adam_step(self.opt)
 
 
 def build_model(cfg: ExperimentConfig, init_rng, shape=None) -> ModelBundle:
@@ -219,16 +185,13 @@ def make_predict(bundle: ModelBundle):
     return predict
 
 
-def apply_smfr_bias(traces, perm_ids: np.ndarray, pset, step: int,
-                    model_kind: str = "smfr") -> Tensor:
+def apply_smfr_bias(traces, perm_ids: np.ndarray, pset, step: int) -> Tensor:
     """Routing bias for the image task, active for the first 300 steps.
 
     Cross-entropy pushing layer-0 Multiplexer columns n < 4 toward one-hot
     routing of input block perm^-1(n), the routing that undoes the band
     permutation.  Returns exactly zero from step 300 on.
     """
-    if model_kind != "smfr":
-        raise ValueError("the routing bias applies only to block-routing models")
     weights = traces[0].mux_weights
     b, m, n_out = weights.shape
     n_bias = min(n_out, bpmnist_task.NUM_BANDS)
@@ -248,17 +211,6 @@ def _spawn_rngs(seed: int):
     streams = np.random.SeedSequence(seed).spawn(5)
     names = ("init", "data", "routing", "eval", "probe")
     return {name: np.random.default_rng(s) for name, s in zip(names, streams)}
-
-
-def _train_forward(bundle: ModelBundle, inputs: np.ndarray, rngs):
-    return bundle.forward(inputs, rng=rngs["routing"], eval_mode=False)
-
-
-def _loss_with_regularization(cfg: ExperimentConfig, task_loss: Tensor, traces):
-    if cfg.regularization.enabled and traces:
-        reg = routing_regularization_loss(traces, cfg.regularization.threshold)
-        return task_loss + reg, float(reg.data)
-    return task_loss, 0.0
 
 
 class _EarlyStop:
@@ -324,9 +276,32 @@ class _LogitStats:
                 "longest_run_beyond_band": self.longest_run}
 
 
-def run_addmul(cfg: ExperimentConfig, writer: MetricsWriter) -> dict:
-    rngs = _spawn_rngs(cfg.seed)
-    bundle = build_model(cfg, rngs["init"])
+def _train_step(bundle: ModelBundle, loss: Tensor, traces, stats: _LogitStats,
+                extra: Tensor | None = None) -> float:
+    """Penalty, backward, clip and Adam for one batch, then the logit stats;
+    returns the penalty's value.
+
+    The penalty and the stats read the Multiplexer and gate logits of the
+    ``LayerTrace``s only; attention traces carry no logits.  ``extra`` is an
+    optional further loss term (the image task's routing bias)."""
+    cfg = bundle.cfg
+    routing = [tr for tr in traces if isinstance(tr, LayerTrace)]
+    total, reg_value = loss, 0.0
+    if cfg.regularization.enabled and routing:
+        reg = routing_regularization_loss(routing, cfg.regularization.threshold)
+        total, reg_value = loss + reg, float(reg.data)
+    if extra is not None:
+        total = total + extra
+    params = list(bundle.params.values())
+    total.backward(params=params)
+    clip_global_norm(params, cfg.clip_norm)
+    adam_step(bundle.opt)
+    stats.update(routing)
+    return reg_value
+
+
+def run_addmul(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
+               rngs) -> dict:
     predict = make_predict(bundle)
     alt = cfg.variants.alternate_split
 
@@ -340,11 +315,9 @@ def run_addmul(cfg: ExperimentConfig, writer: MetricsWriter) -> dict:
     # preparation stage: train until the exhaustive stage set clears threshold
     while step < cfg.max_steps:
         batch = addmul_task.gen_addmul_batch("preparation", cfg.batch_size, rngs["data"], alt)
-        out, traces = _train_forward(bundle, batch.inputs, rngs)
+        out, traces = bundle.forward(batch.inputs, rng=rngs["routing"])
         loss = block_cross_entropy(bundle.logits(out), batch.targets)
-        total, reg_value = _loss_with_regularization(cfg, loss, traces)
-        bundle.step(total)
-        logit_stats.update(traces)
+        reg_value = _train_step(bundle, loss, traces, logit_stats)
         step += 1
         if step % cfg.eval_every == 0:
             acc = evaluate_accuracy(predict, stage1_set)
@@ -358,16 +331,14 @@ def run_addmul(cfg: ExperimentConfig, writer: MetricsWriter) -> dict:
         final_prep = evaluate_accuracy(predict, prep_set)
         return {"completed": False, "reason": "threshold_not_reached",
                 "preparation_data_accuracy": final_prep, "switched_at": None,
-                "steps": step, **logit_stats.summary(), "_bundle": bundle}
+                "steps": step, **logit_stats.summary()}
 
     # interference stage: fixed number of steps on the inverted distribution
     for k in range(cfg.interference_steps):
         batch = addmul_task.gen_addmul_batch("interference", cfg.batch_size, rngs["data"], alt)
-        out, traces = _train_forward(bundle, batch.inputs, rngs)
+        out, traces = bundle.forward(batch.inputs, rng=rngs["routing"])
         loss = block_cross_entropy(bundle.logits(out), batch.targets)
-        total, reg_value = _loss_with_regularization(cfg, loss, traces)
-        bundle.step(total)
-        logit_stats.update(traces)
+        reg_value = _train_step(bundle, loss, traces, logit_stats)
         step += 1
         if (k + 1) % cfg.eval_every == 0 or k + 1 == cfg.interference_steps:
             prep_acc = evaluate_accuracy(predict, prep_set)
@@ -376,13 +347,11 @@ def run_addmul(cfg: ExperimentConfig, writer: MetricsWriter) -> dict:
                           "regularization_loss": reg_value, **logit_stats.window()})
     final_prep = evaluate_accuracy(predict, prep_set)
     return {"completed": True, "reason": None, "preparation_data_accuracy": final_prep,
-            "switched_at": switched_at, "steps": step, **logit_stats.summary(),
-            "_bundle": bundle}
+            "switched_at": switched_at, "steps": step, **logit_stats.summary()}
 
 
-def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter) -> dict:
-    rngs = _spawn_rngs(cfg.seed)
-    bundle = build_model(cfg, rngs["init"])
+def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
+                  rngs) -> dict:
     predict = make_predict(bundle)
     alt = cfg.variants.alternate_split
 
@@ -406,11 +375,9 @@ def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter) -> dict:
     step = 0
     while step < cfg.max_steps:
         batch = doubleadd_task.gen_doubleadd_batch(cfg.batch_size, rngs["data"], alt)
-        out, traces = _train_forward(bundle, batch.inputs, rngs)
+        out, traces = bundle.forward(batch.inputs, rng=rngs["routing"])
         loss = block_cross_entropy(bundle.logits(out), batch.targets)
-        total, reg_value = _loss_with_regularization(cfg, loss, traces)
-        bundle.step(total)
-        logit_stats.update(traces)
+        reg_value = _train_step(bundle, loss, traces, logit_stats)
         step += 1
         if step % cfg.eval_every == 0:
             train_acc = evaluate_accuracy(predict, train_set)
@@ -428,7 +395,7 @@ def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter) -> dict:
     summary = {"completed": True, "reason": None, "steps": step,
                "train_accuracy": train_acc, "ood_accuracy": ood_acc,
                "ood_reached_one": bool(reached), "ood_never_dropped": never_dropped,
-               **logit_stats.summary(), "_bundle": bundle}
+               **logit_stats.summary()}
     for name, subset in split_sets.items():
         summary[name] = evaluate_accuracy(predict, subset)
     return summary
@@ -459,7 +426,7 @@ def _algo_unroll(bundle: ModelBundle, episode, rngs=None, eval_mode=False,
             inputs = T.reshape(T.matmul(flat, perm_matrix),
                                (batch, algo_task.NUM_VARS + 1, algo_task.BLOCK_SIZE))
         rng = None if eval_mode else (rngs["routing"] if rngs else None)
-        out, tr = bundle_forward_tensor(bundle, inputs, rng, eval_mode)
+        out, tr = bundle.forward(inputs, rng=rng, eval_mode=eval_mode)
         traces = tr
         if loss_targets is not None:
             losses.append(block_cross_entropy(out, loss_targets[:, t + 1]))
@@ -467,21 +434,8 @@ def _algo_unroll(bundle: ModelBundle, episode, rngs=None, eval_mode=False,
     return state, losses, traces
 
 
-def bundle_forward_tensor(bundle: ModelBundle, inputs: Tensor, rng, eval_mode):
-    """Forward that keeps the input on the autodiff graph (recurrent reuse)."""
-    model = bundle.model
-    if isinstance(model, SmfrAdapter):
-        return model.net.forward(inputs, rng=rng, eval_mode=eval_mode)
-    if isinstance(model, FnnAdapter):
-        n_in, n_out, d = model.shape
-        out = model.net.forward(T.reshape(inputs, (inputs.shape[0], n_in * d)))
-        return T.reshape(out, (inputs.shape[0], n_out, d)), []
-    return model.net.forward(inputs), []
-
-
-def run_algo(cfg: ExperimentConfig, writer: MetricsWriter) -> dict:
-    rngs = _spawn_rngs(cfg.seed)
-    bundle = build_model(cfg, rngs["init"])
+def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
+             rngs) -> dict:
     neuron_perm = (algo_task.draw_neuron_permutation(rngs["init"])
                    if cfg.variants.noisy_permutation else None)
 
@@ -510,9 +464,7 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter) -> dict:
             loss = loss * (1.0 / len(step_losses))
         else:
             loss = block_cross_entropy(final, episode.final)
-        total, reg_value = _loss_with_regularization(cfg, loss, traces)
-        bundle.step(total)
-        logit_stats.update(traces)
+        reg_value = _train_step(bundle, loss, traces, logit_stats)
         step += 1
         if step % cfg.eval_every == 0:
             train_acc = eval_iteration(2)
@@ -530,21 +482,19 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter) -> dict:
     ood_odd = float(np.mean([per_iter[n] for n in (1, 3, 5, 7, 9)]))
     summary = {"completed": True, "reason": None, "steps": step,
                "train_accuracy": per_iter[2], "ood_even": ood_even, "ood_odd": ood_odd,
-               "validation_accuracy": per_iter[4], **logit_stats.summary(),
-               "_bundle": bundle}
+               "validation_accuracy": per_iter[4], **logit_stats.summary()}
     summary.update({f"accuracy_iter_{n}": v for n, v in per_iter.items()})
     return summary
 
 
-def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, mnist=None,
-                results_prefix: str | None = None) -> dict:
+def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle, rngs,
+                pset, mnist=None, results_prefix: str | None = None) -> dict:
     from .. import inspection
 
-    rngs = _spawn_rngs(cfg.seed)
     if mnist is None:
         mnist = load_mnist(cfg.data_dir or None)
-    pset = bpmnist_task.build_permutation_set(rngs["init"])
-    bundle = build_model(cfg, rngs["init"])
+    # the permutation difference reads routing traces, which the FNN has none of
+    routes = cfg.model.kind != "fnn"
     predict = make_predict(bundle)
     indicator = cfg.bpmnist.indicator
 
@@ -576,7 +526,7 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, mnist=None,
         return inspection.permutation_difference(bundle, groups)
 
     indicator_rows = []
-    initial_diff = probe_difference()
+    initial = {"initial_permutation_difference": probe_difference()} if routes else {}
     checkpoint_metrics = {}
     logit_stats = _LogitStats(cfg.regularization.threshold)
     step = 0
@@ -584,15 +534,11 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, mnist=None,
         batch = bpmnist_task.gen_bpmnist_train_batch(pset, mnist["train_images"],
                                                      mnist["train_labels"], cfg.batch_size,
                                                      rngs["data"], indicator)
-        out, traces = _train_forward(bundle, batch.inputs, rngs)
+        out, traces = bundle.forward(batch.inputs, rng=rngs["routing"])
         loss = block_cross_entropy(bundle.logits(out), batch.targets)
-        total, reg_value = _loss_with_regularization(cfg, loss, traces)
-        if cfg.variants.bias:
-            bias = apply_smfr_bias(traces, batch.metadata["perm_id"], pset, step,
-                                   cfg.model.kind)
-            total = total + bias
-        bundle.step(total)
-        logit_stats.update(traces)
+        bias = (apply_smfr_bias(traces, batch.metadata["perm_id"], pset, step)
+                if cfg.variants.bias else None)
+        reg_value = _train_step(bundle, loss, traces, logit_stats, extra=bias)
         step += 1
         if step % cfg.eval_every == 0:
             train_acc = evaluate_accuracy(predict, train_eval)
@@ -606,8 +552,9 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, mnist=None,
                 "validation_accuracy": evaluate_accuracy(predict, val_sets),
                 "test_accuracy": evaluate_accuracy(predict, test_sets),
                 "holdout_accuracy": evaluate_accuracy(predict, holdout_sets),
-                "permutation_difference": probe_difference(),
             }
+            if routes:
+                metrics["permutation_difference"] = probe_difference()
             if cfg.model.kind == "smfr":
                 trace = inspection.extract_routing_trace(bundle, probe.inputs)
                 metrics["attention_sharpness"] = inspection.attention_sharpness(trace)
@@ -627,16 +574,14 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, mnist=None,
     early, late = marks[0], marks[-1]
     return {"completed": True, "reason": None, "steps": step,
             "scale": cfg.bpmnist.scale, "checkpoint_marks": marks,
-            "initial_permutation_difference": initial_diff,
+            **initial,
             "early": checkpoint_metrics.get(early, {}),
             "late": checkpoint_metrics.get(late, {}),
             **logit_stats.summary(),
-            "holdout_digits": {str(k): v for k, v in pset.holdout.items()},
-            "_bundle": bundle}
+            "holdout_digits": {str(k): v for k, v in pset.holdout.items()}}
 
 
-_RUNNERS = {"addmul": run_addmul, "doubleadd": run_doubleadd,
-            "algo": run_algo, "bpmnist": run_bpmnist}
+_RUNNERS = {"addmul": run_addmul, "doubleadd": run_doubleadd, "algo": run_algo}
 
 
 # thread-count settings that change a trial's float reduction order
@@ -671,27 +616,27 @@ def run_trial(cfg: ExperimentConfig, mnist=None) -> dict:
     writer = MetricsWriter(path)
     started = time.time()
     rngs = _spawn_rngs(cfg.seed)
+    # the image task draws its permutation set from the init stream before the model
+    pset = bpmnist_task.build_permutation_set(rngs["init"]) if cfg.experiment == "bpmnist" else None
     bundle = build_model(cfg, rngs["init"])
     fingerprint = code_fingerprint()
     header = {"record": "header", "config": cfg.to_dict(), "config_hash": h,
               "code_fingerprint": fingerprint, "numpy_version": np.__version__,
               "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
               "parameter_count": bundle.num_parameters()}
-    del bundle, rngs
     writer.write(header)
     prefix = os.path.join(os.path.dirname(path), str(cfg.seed))
     try:
         if cfg.experiment == "bpmnist":
-            summary = run_bpmnist(cfg, writer, mnist=mnist, results_prefix=prefix)
+            summary = run_bpmnist(cfg, writer, bundle, rngs, pset, mnist=mnist,
+                                  results_prefix=prefix)
         else:
-            summary = _RUNNERS[cfg.experiment](cfg, writer)
+            summary = _RUNNERS[cfg.experiment](cfg, writer, bundle, rngs)
     except BaseException:
         writer.abort()
         raise
-    bundle = summary.pop("_bundle", None)
-    if bundle is not None:
-        save_checkpoint(f"{prefix}_final.ckpt", bundle.params,
-                        {"config": cfg.to_dict(), "step": summary.get("steps")})
+    save_checkpoint(f"{prefix}_final.ckpt", bundle.params,
+                    {"config": cfg.to_dict(), "step": summary.get("steps")})
     summary = {"record": "final", "config_hash": h, "code_fingerprint": fingerprint,
                "seed": cfg.seed,
                "parameter_count": header["parameter_count"],

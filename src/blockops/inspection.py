@@ -1,9 +1,11 @@
 """Routing-behavior indicators: sharpness, permutation difference, fairness,
 and gate trends, with CSV emission for plot-ready series.
 
-All indicators are pure functions of (model parameters, batch), so they can
-be recomputed from any checkpoint.  The three scalar indicators are
-implementation-defined; the defining formulas live in the docstrings below.
+Every indicator reads the traces that one eval-mode ``forward`` returns, so
+it works on any model that speaks the model protocol (a harness bundle, an
+``Smfr`` or a ``Transformer``) and can be recomputed from any checkpoint.
+The three scalar indicators are implementation-defined; the defining
+formulas live in the docstrings below.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .nn import LayerTrace
+from .tensor import Tensor
 
 __all__ = [
     "RoutingTrace",
@@ -30,66 +35,34 @@ class RoutingTrace:
     """Detached per-layer routing decisions.
 
     Each layer dict holds ``attention`` with the source distribution on the
-    LAST axis (block-routing layers: [batch, outputs, sources]; transformer:
-    [batch, heads, queries, keys]) and, for block-routing layers, ``gates``
-    [batch, outputs] plus the layer's ``routed`` mix output.
+    LAST axis (block-routing layers: [batch, outputs, sources]; transformer
+    encoder and cross attention: [batch, heads, queries, keys]) and
+    ``routed``, what the layer's routing produced (the Multiplexer's blended
+    blocks; the residual stream after the attention).  Block-routing layers
+    also hold ``gates`` [batch, outputs].
     """
 
     kind: str
     layers: list
 
 
-def _forward(model, inputs):
-    """Run any supported wrapper in eval mode; returns (net, forward output)."""
-    net = getattr(model, "model", model)        # unwrap a harness bundle
-    fwd = getattr(net, "forward", None)
-    if fwd is None:
-        raise ValueError(f"cannot inspect {type(model).__name__}")
-    if not hasattr(net, "net"):
-        # bare network, not an adapter: forward wants a graph tensor
-        from .tensor import Tensor
-        inputs = Tensor(np.asarray(inputs, dtype=np.float64))
-    return net, fwd(inputs, rng=None, eval_mode=True)
-
-
 def extract_routing_trace(model, inputs: np.ndarray) -> RoutingTrace:
     """Per-layer attention weights and gates for one batch, detached.
 
-    Accepts a harness model bundle, an adapter, or a bare network; plain
-    feedforward models have no routing to inspect and are rejected.
+    Models whose forward returns no routing traces (the plain feedforward
+    baseline) are rejected.
     """
-    kind = getattr(getattr(model, "model", model), "kind", None)
-    if kind is None:
-        kind = type(getattr(model, "model", model)).__name__.lower()
-    if "smfr" in kind:
-        return _smfr_trace(model, inputs)
-    if "transformer" in kind:
-        net, _ = _forward(model, inputs)
-        tnet = getattr(net, "net", net)
-        layers = [{"attention": w} for w in tnet.last_attention["encoder"]]
-        layers += [{"attention": w} for w in tnet.last_attention["decoder_cross"]]
-        return RoutingTrace("transformer", layers)
-    raise ValueError(f"model kind {kind!r} has no routing decisions to inspect")
-
-
-def _smfr_trace(model, inputs: np.ndarray) -> RoutingTrace:
-    adapter = getattr(model, "model", model)
-    net = getattr(adapter, "net", adapter)
-    from .tensor import Tensor
-
-    h = Tensor(np.asarray(inputs, dtype=np.float64))
-    layers = []
-    for layer in net.layers:
-        out, tr = layer.forward(h, rng=None, eval_mode=True)
-        w = tr.mux_weights.data
-        routed = np.einsum("bmn,bmd->bnd", w, h.data)
-        layers.append({
-            "attention": np.transpose(w, (0, 2, 1)).copy(),
-            "gates": tr.gate_values.data.copy(),
-            "routed": routed,
-        })
-        h = Tensor(out.data.copy())
-    return RoutingTrace("smfr", layers)
+    _, traces = model.forward(Tensor(np.asarray(inputs, dtype=np.float64)), eval_mode=True)
+    if not traces:
+        raise ValueError(f"{type(model).__name__} has no routing decisions to inspect")
+    if isinstance(traces[0], LayerTrace):
+        return RoutingTrace("smfr", [
+            {"attention": np.transpose(tr.mux_weights.data, (0, 2, 1)),
+             "gates": tr.gate_values.data, "routed": tr.routed.data}
+            for tr in traces])
+    return RoutingTrace("transformer", [
+        {"attention": tr.weights.data, "routed": tr.output.data}
+        for tr in traces if tr.stage != "decoder_self"])
 
 
 def attention_sharpness(trace: RoutingTrace) -> float:
@@ -120,7 +93,7 @@ def attention_fairness(trace: RoutingTrace) -> float:
 
 def permutation_difference(model, batches, layer: int = 0) -> float:
     """Mean pairwise L2 distance between per-permutation mean activations
-    taken after the first attention layer.
+    taken after the first attention layer (its ``routed`` output).
 
     Each batch must hold one permutation group.  A model whose first layer
     exactly undoes the band permutation produces group-independent
@@ -131,7 +104,7 @@ def permutation_difference(model, batches, layer: int = 0) -> float:
     means = []
     for batch in batches:
         inputs = batch.inputs if hasattr(batch, "inputs") else np.asarray(batch)
-        data = _post_attention_data(model, inputs, layer)
+        data = extract_routing_trace(model, inputs).layers[layer]["routed"]
         means.append(data.mean(axis=0).reshape(-1))
     if len(means) == 1:
         return 0.0
@@ -140,16 +113,6 @@ def permutation_difference(model, batches, layer: int = 0) -> float:
         for j in range(i + 1, len(means)):
             dists.append(np.linalg.norm(means[i] - means[j]))
     return float(np.mean(dists))
-
-
-def _post_attention_data(model, inputs: np.ndarray, layer: int) -> np.ndarray:
-    kind = getattr(getattr(model, "model", model), "kind", "")
-    if "transformer" in kind:
-        net, _ = _forward(model, inputs)
-        tnet = getattr(net, "net", net)
-        return tnet.last_encoder_layer0
-    trace = _smfr_trace(model, inputs)
-    return trace.layers[layer]["routed"]
 
 
 def gate_summary(trace: RoutingTrace, flat: bool = False):

@@ -13,7 +13,9 @@ uniformly sized blocks of d values, held as a Tensor of shape [batch, B, d].
 * ``Mfnnr`` — a Multiplexer followed by an Fnnr that also sees the
   pre-Multiplexer blocks as context.
 * ``Smfr`` — a stack of Mfnnr modules; the FNN replacement evaluated in the
-  experiments.
+  experiments.  ``forward(blocks, rng=None, eval_mode=False)`` returns the
+  output blocks and one ``LayerTrace`` per layer, the protocol the
+  Transformer baseline shares.
 
 Weight initialization is uniform in +/- sqrt(1/fan_in) with zero biases.
 """
@@ -157,6 +159,7 @@ class LayerTrace:
     mux_logits: Tensor    # [batch, M, N], raw
     gate_values: Tensor   # [batch, N], post-sigmoid
     gate_logits: Tensor   # [batch, N], raw
+    routed: Tensor        # [batch, N, d], the Multiplexer's blended blocks
 
 
 class Multiplexer:
@@ -247,7 +250,7 @@ class Mfnnr:
     def forward(self, blocks: Tensor, rng=None, eval_mode=False):
         routed, weights, mux_logits = self.mux.forward(blocks, rng=rng, eval_mode=eval_mode)
         out, gates, gate_logits = self.fnnr.forward(routed, None if self.no_context else blocks)
-        return out, LayerTrace(weights, mux_logits, gates, gate_logits)
+        return out, LayerTrace(weights, mux_logits, gates, gate_logits, routed)
 
     def parameters(self):
         out = dict(self.mux.parameters())

@@ -4,6 +4,9 @@ Input blocks become encoder tokens, each output block is produced by one
 learned decoder query token.  Per-token affine maps translate between the
 block size d and the model width.  There is no layer norm and no dropout;
 residual additions are kept.
+
+``forward`` returns the output blocks and one ``AttentionTrace`` per
+attention layer, in forward order, the way ``Smfr`` returns its routing.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from . import tensor as T
 from .tensor import Tensor
 from .nn import _init_affine
 
-__all__ = ["TransformerConfig", "Transformer"]
+__all__ = ["TransformerConfig", "Transformer", "AttentionTrace"]
 
 
 @dataclass
@@ -41,6 +44,15 @@ class TransformerConfig:
                 f"model_width {self.model_width} is not divisible by num_heads {self.num_heads}"
             )
         return self
+
+
+@dataclass
+class AttentionTrace:
+    """Attention of one layer, kept on the autodiff graph like ``LayerTrace``."""
+
+    stage: str        # "encoder", "decoder_self" or "decoder_cross"
+    weights: Tensor   # [batch, heads, queries, keys]
+    output: Tensor    # [batch, queries, width], residual stream after the attention
 
 
 class _Attention:
@@ -135,27 +147,23 @@ class Transformer:
                 f"transformer expected [batch, {cfg.input_blocks}, {cfg.block_size}], got {blocks.shape}")
         h = T.matmul(blocks, self.in_proj[0]) + self.in_proj[1]
         h = h + T.reshape(self.pos_embed, (1, cfg.input_blocks, cfg.model_width))
-        # inspection reads these after a forward pass; numpy copies only
-        self.last_attention = {"encoder": [], "decoder_self": [], "decoder_cross": []}
-        self.last_encoder_layer0 = None
-        for i, (attn, ffn) in enumerate(zip(self.enc_attn, self.enc_ffn)):
+        traces = []
+        for attn, ffn in zip(self.enc_attn, self.enc_ffn):
             a, w = attn.forward(h, h)
-            self.last_attention["encoder"].append(w.data.copy())
             h = h + a
-            if i == 0:
-                self.last_encoder_layer0 = h.data.copy()
+            traces.append(AttentionTrace("encoder", w, h))
             h = h + ffn.forward(h)
         ones = Tensor(np.ones((batch, 1, 1), dtype=h.data.dtype))
         dec = ones * T.reshape(self.queries, (1, cfg.output_blocks, cfg.model_width))
         for attn_s, attn_c, ffn in zip(self.dec_self, self.dec_cross, self.dec_ffn):
             a, w = attn_s.forward(dec, dec)
-            self.last_attention["decoder_self"].append(w.data.copy())
             dec = dec + a
+            traces.append(AttentionTrace("decoder_self", w, dec))
             a, w = attn_c.forward(dec, h)
-            self.last_attention["decoder_cross"].append(w.data.copy())
             dec = dec + a
+            traces.append(AttentionTrace("decoder_cross", w, dec))
             dec = dec + ffn.forward(dec)
-        return T.matmul(dec, self.out_proj[0]) + self.out_proj[1]
+        return T.matmul(dec, self.out_proj[0]) + self.out_proj[1], traces
 
     def parameters(self):
         out = {

@@ -115,6 +115,9 @@ class TestInspectCommand:
         edits = {}
         if kind == "fnn":
             edits["model"] = {"kind": "fnn", "hidden_widths": [8]}
+        elif kind == "transformer":
+            edits["model"] = {"kind": "transformer", "model_width": 8, "num_heads": 2,
+                              "encoder_layers": 1, "decoder_layers": 1, "ffn_width": 8}
         config, data = write_config(tmp_path, **edits)
         assert main(["run", "--config", config]) == 0
         capsys.readouterr()
@@ -144,6 +147,14 @@ class TestInspectCommand:
         text = open(out).read()
         assert "sharpness" in text.splitlines()[0]
         assert len(text.splitlines()) == 2
+
+    def test_transformer_attention_indicators(self, tmp_path, capsys):
+        ckpt = self.checkpoint_from_trial(tmp_path, capsys, kind="transformer")
+        assert main(["inspect", "--checkpoint", ckpt]) == 0
+        (row,) = headlines(capsys)
+        assert 0.0 < row["sharpness"] <= 1.0
+        assert 0.0 <= row["fairness"] <= 1.0
+        assert not any(key.startswith("gate_") for key in row)
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         assert main(["inspect", "--checkpoint",

@@ -24,6 +24,10 @@ from blockops.tasks.batches import TaskBatch
 from blockops.tasks import bpmnist
 
 
+TINY_TRANSFORMER = {"kind": "transformer", "model_width": 8, "num_heads": 2,
+                    "encoder_layers": 1, "decoder_layers": 1, "ffn_width": 8}
+
+
 def tiny_config(tmp_path, **edits):
     """Smallest config that still exercises a full doubleadd trial."""
     data = {
@@ -257,7 +261,7 @@ def bias_trace(weights: np.ndarray) -> list:
     w = Tensor(np.asarray(weights, dtype=np.float64))
     zeros = Tensor(np.zeros(weights.shape[:1] + weights.shape[2:]))
     return [LayerTrace(mux_weights=w, mux_logits=w, gate_values=zeros,
-                       gate_logits=zeros)]
+                       gate_logits=zeros, routed=None)]
 
 
 class TestApplySmfrBias:
@@ -294,7 +298,7 @@ class TestApplySmfrBias:
         logits = T.parameter(np.zeros((1, 5, 4)))
         weights = T.softmax(logits, axis=1)
         traces = [LayerTrace(mux_weights=weights, mux_logits=weights,
-                             gate_values=weights, gate_logits=weights)]
+                             gate_values=weights, gate_logits=weights, routed=None)]
         loss = apply_smfr_bias(traces, np.array([2]), self.pset, step=0)
         loss.backward(params=[logits])
         inv = np.argsort(self.pset.perms[2])
@@ -304,10 +308,6 @@ class TestApplySmfrBias:
             assert grad[inv[n], n] < 0
             others = [grad[m, n] for m in range(5) if m != inv[n]]
             assert all(g > 0 for g in others)
-
-    def test_only_block_routing_models(self):
-        with pytest.raises(ValueError, match="block-routing"):
-            apply_smfr_bias([], np.array([0]), self.pset, 0, model_kind="fnn")
 
 
 class TestMetricsWriter:
@@ -400,13 +400,21 @@ class TestRunTrial:
         assert header["step"] == 4
         assert tensors
 
-    def test_reruns_are_deterministic_up_to_wall_time(self, tmp_path):
-        cfg_a = ExperimentConfig.from_dict(
-            tiny_config(tmp_path, results_dir=str(tmp_path / "a")))
-        cfg_b = ExperimentConfig.from_dict(
-            tiny_config(tmp_path, results_dir=str(tmp_path / "b")))
-        a = run_trial(cfg_a)
-        b = run_trial(cfg_b)
+    @pytest.mark.parametrize("experiment, model", [
+        ("doubleadd", None),
+        ("doubleadd", {"kind": "fnn", "hidden_widths": [8]}),
+        ("doubleadd", TINY_TRANSFORMER),
+        ("algo", None),
+    ], ids=["smfr-doubleadd", "fnn-doubleadd", "transformer-doubleadd", "smfr-algo"])
+    def test_reruns_are_deterministic_up_to_wall_time(self, tmp_path, experiment, model):
+        def trial(name):
+            data = tiny_config(tmp_path, experiment=experiment,
+                               results_dir=str(tmp_path / name))
+            if model is not None:
+                data["model"] = model
+            return run_trial(ExperimentConfig.from_dict(data))
+
+        a, b = trial("a"), trial("b")
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
 
@@ -453,6 +461,28 @@ class TestRunTrial:
                            eval_every=2)
         data["loss_per_step"] = True
         assert run_trial(ExperimentConfig.from_dict(data))["completed"]
+
+    @pytest.mark.parametrize("kind", ["fnn", "smfr"])
+    def test_bpmnist_on_in_memory_images(self, tmp_path, kind):
+        rng = np.random.default_rng(0)
+        mnist = {"train_images": rng.random((64, 28, 28)),
+                 "train_labels": rng.integers(0, 10, 64),
+                 "test_images": rng.random((300, 28, 28)),
+                 "test_labels": rng.integers(0, 10, 300)}
+        data = tiny_config(tmp_path, experiment="bpmnist", max_steps=6, eval_every=3)
+        data["model"] = ({"kind": "fnn", "hidden_widths": [8]} if kind == "fnn"
+                         else {"kind": "smfr", "stack_width": 4, "stack_depth": 0,
+                               "fnn_hidden": [8]})
+        data["bpmnist"] = {"scale": 1e-4, "eval_subset": 32, "probe_size": 16}
+        summary = run_trial(ExperimentConfig.from_dict(data), mnist=mnist)
+        assert summary["completed"]
+        assert summary["checkpoint_marks"] == [2, 6]
+        for mark in ("early", "late"):
+            assert 0.0 <= summary[mark]["test_accuracy"] <= 1.0
+        # the permutation difference reads routing, which only routing models have
+        routes = kind != "fnn"
+        assert ("initial_permutation_difference" in summary) == routes
+        assert ("permutation_difference" in summary["late"]) == routes
 
 
 class TestGrid:

@@ -12,7 +12,9 @@ from blockops.inspection import (
     permutation_difference,
     write_indicator_csv,
 )
-from blockops.nn import Fnn, FnnConfig, Smfr, SmfrConfig, force_copy_routing
+from blockops.harness.config import ExperimentConfig
+from blockops.harness.training import build_model
+from blockops.nn import Smfr, SmfrConfig, force_copy_routing
 from blockops.tasks.bpmnist import BLOCK_SIZE, NUM_PERMS, build_permutation_set, encode_bpmnist
 from blockops.transformer import Transformer, TransformerConfig
 
@@ -119,9 +121,10 @@ class TestTraceExtraction:
             assert np.allclose(entry["attention"].sum(axis=-1), 1.0, atol=1e-9)
 
     def test_plain_fnn_is_rejected(self):
-        fnn = Fnn(np.random.default_rng(0), FnnConfig(4, 4, [8]))
-        with pytest.raises(ValueError):
-            extract_routing_trace(fnn, np.zeros((1, 4)))
+        cfg = ExperimentConfig.from_dict({"model": {"kind": "fnn", "hidden_widths": [8]}})
+        bundle = build_model(cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no routing"):
+            extract_routing_trace(bundle, np.zeros((1, 5, 10)))
 
 
 class TestSharpness:

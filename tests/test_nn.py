@@ -315,6 +315,7 @@ class TestForcedRouting:
         assert np.all(traces[0].gate_values.data == 0.0)
 
         routed, _, _ = layer.mux.forward(T.tensor(x))
+        assert np.array_equal(traces[0].routed.data, routed.data)
         flat = np.concatenate([routed.data.reshape(2, -1), x.reshape(2, -1)], axis=1)
         trunk = layer.fnnr.fnn.forward(T.tensor(flat))
         candidates = trunk.data[:, :2 * 3].reshape(2, 2, 3)
@@ -325,7 +326,9 @@ class TestRoutingRegularization:
     def trace(self, mux_logits, gate_logits):
         mux = T.parameter(np.array(mux_logits, dtype=np.float64))
         gate = T.parameter(np.array(gate_logits, dtype=np.float64))
-        return LayerTrace(T.softmax(mux, axis=1), mux, T.sigmoid(gate), gate), mux, gate
+        # the penalty reads only the logits; no routed blocks are needed
+        return LayerTrace(T.softmax(mux, axis=1), mux, T.sigmoid(gate), gate,
+                          routed=None), mux, gate
 
     def test_in_band_logits_cost_nothing(self):
         trace, _, _ = self.trace(np.full((1, 2, 2), 19.9), np.zeros((1, 2)))

@@ -42,7 +42,7 @@ class TestAttention:
 class TestTransformer:
     def test_output_shape(self):
         model = Transformer(tiny_config(output_blocks=3), np.random.default_rng(0))
-        out = model.forward(T.tensor(np.random.default_rng(1).normal(size=(4, 2, 3))))
+        out, _ = model.forward(T.tensor(np.random.default_rng(1).normal(size=(4, 2, 3))))
         assert out.data.shape == (4, 3, 3)
 
     def test_rejects_indivisible_heads(self):
@@ -57,33 +57,40 @@ class TestTransformer:
     def test_position_embeddings_break_permutation_symmetry(self):
         model = Transformer(tiny_config(input_blocks=3), np.random.default_rng(4))
         x = np.random.default_rng(5).normal(size=(1, 3, 3))
-        base = model.forward(T.tensor(x)).data.copy()
-        swapped = model.forward(T.tensor(x[:, [1, 0, 2]])).data
-        assert not np.allclose(base, swapped)
+        base, _ = model.forward(T.tensor(x))
+        swapped, _ = model.forward(T.tensor(x[:, [1, 0, 2]]))
+        assert not np.allclose(base.data, swapped.data)
 
     def test_attention_capture_structure(self):
         cfg = tiny_config(input_blocks=4, output_blocks=2, num_encoder_layers=2,
                           num_decoder_layers=3)
         model = Transformer(cfg, np.random.default_rng(6))
-        model.forward(T.tensor(np.random.default_rng(7).normal(size=(5, 4, 3))))
-        captured = model.last_attention
-        assert len(captured["encoder"]) == 2
-        assert len(captured["decoder_self"]) == 3
-        assert len(captured["decoder_cross"]) == 3
+        _, traces = model.forward(T.tensor(np.random.default_rng(7).normal(size=(5, 4, 3))))
+        # forward order: the encoder layers, then self and cross attention per decoder layer
+        assert [tr.stage for tr in traces] == \
+            ["encoder"] * 2 + ["decoder_self", "decoder_cross"] * 3
+        captured = {stage: [tr.weights.data for tr in traces if tr.stage == stage]
+                    for stage in ("encoder", "decoder_self", "decoder_cross")}
         assert captured["encoder"][0].shape == (5, cfg.num_heads, 4, 4)
         assert captured["decoder_self"][0].shape == (5, cfg.num_heads, 2, 2)
         assert captured["decoder_cross"][0].shape == (5, cfg.num_heads, 2, 4)
         for group in captured.values():
             for w in group:
                 assert np.allclose(w.sum(axis=3), 1.0, atol=1e-9)
-        assert model.last_encoder_layer0.shape == (5, 4, cfg.model_width)
+        assert traces[0].output.shape == (5, 4, cfg.model_width)
+
+    def test_forward_adds_no_attribute(self):
+        model = Transformer(tiny_config(), np.random.default_rng(6))
+        before = set(vars(model))
+        model.forward(T.tensor(np.random.default_rng(7).normal(size=(3, 2, 3))))
+        assert set(vars(model)) == before
 
     def test_deterministic_forward(self):
         model = Transformer(tiny_config(), np.random.default_rng(8))
         x = np.random.default_rng(9).normal(size=(2, 2, 3))
-        a = model.forward(T.tensor(x)).data.copy()
-        b = model.forward(T.tensor(x)).data
-        assert np.array_equal(a, b)
+        a, _ = model.forward(T.tensor(x))
+        b, _ = model.forward(T.tensor(x))
+        assert np.array_equal(a.data, b.data)
 
     def test_full_model_matches_finite_differences(self):
         model = Transformer(tiny_config(), np.random.default_rng(10))
@@ -92,7 +99,7 @@ class TestTransformer:
         target = np.random.default_rng(12).normal(size=(2, 1, 3))
 
         def loss_tensor():
-            return T.mse_loss(model.forward(T.tensor(x)), T.tensor(target))
+            return T.mse_loss(model.forward(T.tensor(x))[0], T.tensor(target))
 
         loss_tensor().backward(params=params.values())
         h = 1e-5
