@@ -405,7 +405,8 @@ def _algo_unroll(bundle: ModelBundle, episode, rngs=None, eval_mode=False,
                  neuron_perm=None, loss_targets=None):
     """Run the model recurrently over an episode: raw output blocks feed back
     as the next state, the rule indicator is replaced each iteration.
-    Returns (final blocks, per-step losses if requested, last traces)."""
+    Returns (final blocks, per-step losses if requested, the traces of
+    every iteration in order)."""
     from ..tasks.batches import one_hot
 
     batch = episode.states.shape[0]
@@ -427,7 +428,7 @@ def _algo_unroll(bundle: ModelBundle, episode, rngs=None, eval_mode=False,
                                (batch, algo_task.NUM_VARS + 1, algo_task.BLOCK_SIZE))
         rng = None if eval_mode else (rngs["routing"] if rngs else None)
         out, tr = bundle.forward(inputs, rng=rng, eval_mode=eval_mode)
-        traces = tr
+        traces += tr
         if loss_targets is not None:
             losses.append(block_cross_entropy(out, loss_targets[:, t + 1]))
         state = out

@@ -18,6 +18,7 @@ from blockops.harness.metrics import MetricsWriter, read_records, results_path
 from blockops.harness.training import (
     build_model, evaluate_accuracy, apply_smfr_bias, code_fingerprint, run_trial,
 )
+from blockops.harness import training
 from blockops.harness.grid import GridSpec, grid_search, size_bucket
 from blockops.harness import report as report_mod
 from blockops.tasks.batches import TaskBatch
@@ -461,6 +462,20 @@ class TestRunTrial:
                            eval_every=2)
         data["loss_per_step"] = True
         assert run_trial(ExperimentConfig.from_dict(data))["completed"]
+
+    def test_algo_penalty_sees_every_unrolled_iteration(self, tmp_path, monkeypatch):
+        # training episodes unroll 2 iterations of a 1-layer stack
+        seen = []
+        penalty = training.routing_regularization_loss
+
+        def spy(traces, threshold):
+            seen.append(len(traces))
+            return penalty(traces, threshold)
+
+        monkeypatch.setattr(training, "routing_regularization_loss", spy)
+        data = tiny_config(tmp_path, experiment="algo", max_steps=2, eval_every=2)
+        run_trial(ExperimentConfig.from_dict(data))
+        assert seen == [2, 2]
 
     @pytest.mark.parametrize("kind", ["fnn", "smfr"])
     def test_bpmnist_on_in_memory_images(self, tmp_path, kind):
