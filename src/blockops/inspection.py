@@ -93,7 +93,8 @@ def attention_fairness(trace: RoutingTrace) -> float:
 
 def permutation_difference(model, batches, layer: int = 0) -> float:
     """Mean pairwise L2 distance between per-permutation mean activations
-    taken after the first attention layer (its ``routed`` output).
+    taken after routing layer ``layer``, the first by default (its
+    ``routed`` output).
 
     Each batch must hold one permutation group.  A model whose first layer
     exactly undoes the band permutation produces group-independent
