@@ -5,8 +5,11 @@ Every network speaks one protocol, ``forward(blocks, rng=None, eval_mode=False)
 [batch, N, d] plus its routing traces.  A ``ModelBundle`` is the one place
 that feeds task inputs to the network; digit tasks read each output block
 directly as 10-class logits, the image task applies a trainable affine head
-to one output block.  Every task trains through ``_train_step``; each loop
-keeps its own batch source, evaluation cadence and summary.
+to one output block.  An eval-mode forward records no autodiff graph, so
+evaluation holds only the arrays it is computing.  Every task trains through
+``_train_step``; each loop keeps its own batch source, evaluation cadence and
+summary, and each metrics record carries the window's training ms per step
+and its evaluation ms.
 
 Randomness is split into independent streams (init, data, routing noise,
 eval, probe) spawned from the config seed, so trials are bit-reproducible.
@@ -14,8 +17,11 @@ eval, probe) spawned from the config seed, so trials are bit-reproducible.
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import hashlib
 import os
+import sys
 import time
 
 import numpy as np
@@ -101,19 +107,22 @@ class ModelBundle:
         """Blocks [batch, B, d], a numpy array or (algo's recurrent unroll) a
         graph Tensor, to (output blocks [batch, N, d], traces).
 
-        The flat ``Fnn`` sees the blocks concatenated and has no routing to
+        An eval-mode forward runs under ``no_grad``: its output and traces
+        are constants and no autodiff graph is recorded or kept alive.  The
+        flat ``Fnn`` sees the blocks concatenated and has no routing to
         trace; the block models take the blocks as they are."""
-        if self.cfg.model.kind == "fnn":
-            n_in, n_out, d = self.shape
-            batch = inputs.shape[0]
-            if isinstance(inputs, Tensor):
-                flat = T.reshape(inputs, (batch, n_in * d))
-            else:
-                flat = Tensor(inputs.reshape(batch, n_in * d))
-            return T.reshape(self.net.forward(flat), (batch, n_out, d)), []
-        if not isinstance(inputs, Tensor):
-            inputs = Tensor(inputs)
-        return self.net.forward(inputs, rng=rng, eval_mode=eval_mode)
+        with T.no_grad() if eval_mode else contextlib.nullcontext():
+            if self.cfg.model.kind == "fnn":
+                n_in, n_out, d = self.shape
+                batch = inputs.shape[0]
+                if isinstance(inputs, Tensor):
+                    flat = T.reshape(inputs, (batch, n_in * d))
+                else:
+                    flat = Tensor(inputs.reshape(batch, n_in * d))
+                return T.reshape(self.net.forward(flat), (batch, n_out, d)), []
+            if not isinstance(inputs, Tensor):
+                inputs = Tensor(inputs)
+            return self.net.forward(inputs, rng=rng, eval_mode=eval_mode)
 
     def logits(self, out_blocks: Tensor) -> Tensor:
         """Classification logits: blocks directly for digit tasks, affine head
@@ -180,8 +189,10 @@ def evaluate_accuracy(predict_fn, batches, chunk: int = 2500) -> float:
 
 def make_predict(bundle: ModelBundle):
     def predict(inputs: np.ndarray) -> np.ndarray:
-        out, _ = bundle.forward(inputs, eval_mode=True)
-        return predictions(bundle.logits(out))
+        # the image task's head runs outside the forward; record it neither
+        with T.no_grad():
+            out, _ = bundle.forward(inputs, eval_mode=True)
+            return predictions(bundle.logits(out))
     return predict
 
 
@@ -276,6 +287,34 @@ class _LogitStats:
                 "longest_run_beyond_band": self.longest_run}
 
 
+class _WindowClock:
+    """Wall time of each evaluation window, for its metrics record.
+
+    A window starts when the previous record's fields are taken (or at the
+    start of training) and its training ends at ``evaluating``; the
+    training time is reported per step.  Anything else run between records
+    outside an evaluation (the image task's checkpoint marks) counts as
+    training time.
+    """
+
+    def __init__(self):
+        self._start = self._eval_start = time.perf_counter()
+        self._step = 0
+        self._train_ms_per_step = 0.0
+
+    def evaluating(self, step: int) -> None:
+        """The window's training ended with ``step``; its evaluation starts."""
+        self._eval_start = time.perf_counter()
+        self._train_ms_per_step = 1e3 * (self._eval_start - self._start) / (step - self._step)
+        self._step = step
+
+    def window(self) -> dict:
+        """Fields for a metrics record; the next window starts now."""
+        self._start = time.perf_counter()
+        return {"train_ms_per_step": round(self._train_ms_per_step, 3),
+                "eval_ms": round(1e3 * (self._start - self._eval_start), 3)}
+
+
 def _train_step(bundle: ModelBundle, loss: Tensor, traces, stats: _LogitStats,
                 extra: Tensor | None = None) -> float:
     """Penalty, backward, clip and Adam for one batch, then the logit stats;
@@ -310,6 +349,7 @@ def run_addmul(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle
     prep_set = addmul_task.exhaustive_batch([(a, b, "add") for a, b in prep_pairs])
 
     logit_stats = _LogitStats(cfg.regularization.threshold)
+    clock = _WindowClock()
     switched_at = None
     step = 0
     # preparation stage: train until the exhaustive stage set clears threshold
@@ -320,10 +360,12 @@ def run_addmul(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle
         reg_value = _train_step(bundle, loss, traces, logit_stats)
         step += 1
         if step % cfg.eval_every == 0:
+            clock.evaluating(step)
             acc = evaluate_accuracy(predict, stage1_set)
             writer.write({"record": "metrics", "step": step, "stage": "preparation",
                           "train_accuracy": acc, "loss": float(loss.data),
-                          "regularization_loss": reg_value, **logit_stats.window()})
+                          "regularization_loss": reg_value, **logit_stats.window(),
+                          **clock.window()})
             if acc >= cfg.threshold:
                 switched_at = step
                 break
@@ -341,10 +383,12 @@ def run_addmul(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle
         reg_value = _train_step(bundle, loss, traces, logit_stats)
         step += 1
         if (k + 1) % cfg.eval_every == 0 or k + 1 == cfg.interference_steps:
+            clock.evaluating(step)
             prep_acc = evaluate_accuracy(predict, prep_set)
             writer.write({"record": "metrics", "step": step, "stage": "interference",
                           "preparation_data_accuracy": prep_acc, "loss": float(loss.data),
-                          "regularization_loss": reg_value, **logit_stats.window()})
+                          "regularization_loss": reg_value, **logit_stats.window(),
+                          **clock.window()})
     final_prep = evaluate_accuracy(predict, prep_set)
     return {"completed": True, "reason": None, "preparation_data_accuracy": final_prep,
             "switched_at": switched_at, "steps": step, **logit_stats.summary()}
@@ -369,6 +413,7 @@ def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBun
 
     stopper = _EarlyStop(cfg.early_stop_evals)
     logit_stats = _LogitStats(cfg.regularization.threshold)
+    clock = _WindowClock()
     ood_curve = []
     train_acc = 0.0
     ood_acc = 0.0
@@ -380,13 +425,14 @@ def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBun
         reg_value = _train_step(bundle, loss, traces, logit_stats)
         step += 1
         if step % cfg.eval_every == 0:
+            clock.evaluating(step)
             train_acc = evaluate_accuracy(predict, train_set)
             ood_acc = evaluate_accuracy(predict, ood_set)
             ood_curve.append(ood_acc)
             writer.write({"record": "metrics", "step": step,
                           "train_accuracy": train_acc, "ood_accuracy": ood_acc,
                           "loss": float(loss.data), "regularization_loss": reg_value,
-                          **logit_stats.window()})
+                          **logit_stats.window(), **clock.window()})
             if stopper.update(train_acc):
                 break
     # stability of generalization: once at 1.0, the curve must not fall back
@@ -450,6 +496,7 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
 
     stopper = _EarlyStop(cfg.early_stop_evals)
     logit_stats = _LogitStats(cfg.regularization.threshold)
+    clock = _WindowClock()
     step = 0
     train_acc = 0.0
     while step < cfg.max_steps:
@@ -468,6 +515,7 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
         reg_value = _train_step(bundle, loss, traces, logit_stats)
         step += 1
         if step % cfg.eval_every == 0:
+            clock.evaluating(step)
             train_acc = eval_iteration(2)
             record = {"record": "metrics", "step": step, "train_accuracy": train_acc,
                       "accuracy_iter_4": eval_iteration(4), "loss": float(loss.data),
@@ -475,7 +523,7 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
             if step % cfg.full_eval_every == 0:
                 for n in range(1, 10):
                     record[f"accuracy_iter_{n}"] = eval_iteration(n)
-            writer.write(record)
+            writer.write({**record, **clock.window()})
             if stopper.update(train_acc):
                 break
     per_iter = {n: eval_iteration(n) for n in range(1, 10)}
@@ -530,6 +578,7 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundl
     initial = {"initial_permutation_difference": probe_difference()} if routes else {}
     checkpoint_metrics = {}
     logit_stats = _LogitStats(cfg.regularization.threshold)
+    clock = _WindowClock()
     step = 0
     while step < last_step:
         batch = bpmnist_task.gen_bpmnist_train_batch(pset, mnist["train_images"],
@@ -542,11 +591,13 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundl
         reg_value = _train_step(bundle, loss, traces, logit_stats, extra=bias)
         step += 1
         if step % cfg.eval_every == 0:
+            clock.evaluating(step)
             train_acc = evaluate_accuracy(predict, train_eval)
             val_acc = evaluate_accuracy(predict, sub_val)
             writer.write({"record": "metrics", "step": step, "train_accuracy": train_acc,
                           "validation_accuracy": val_acc, "loss": float(loss.data),
-                          "regularization_loss": reg_value, **logit_stats.window()})
+                          "regularization_loss": reg_value, **logit_stats.window(),
+                          **clock.window()})
         if step in marks:
             metrics = {
                 "train_accuracy": evaluate_accuracy(predict, train_eval),
@@ -589,19 +640,58 @@ _RUNNERS = {"addmul": run_addmul, "doubleadd": run_doubleadd, "algo": run_algo}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def code_fingerprint() -> str:
-    """Hash of the blockops package sources (every ``.py`` file, by path and
-    content), so a result can name the code that produced it."""
-    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    digest = hashlib.sha256()
+def _drop_docstrings(tree: ast.AST) -> ast.AST:
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                node.body = node.body[1:]
+    return tree
+
+
+def code_fingerprint(package: str | None = None) -> str:
+    """Hash of the blockops package sources, so a result can name the code
+    that produced it: every ``.py`` file by path and by its syntax tree with
+    docstrings dropped.  Comments, docstrings and layout do not count.
+
+    Parsing the package takes about a tenth of a second, so the fingerprint
+    is cached in the package's ``__pycache__`` beside a hash of the raw
+    sources and the Python version, and recomputed when either changes."""
+    package = package or os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sources = []
+    raw = hashlib.sha256(sys.version.encode())
     for dirpath, dirnames, filenames in os.walk(package):
         dirnames.sort()
         for name in sorted(f for f in filenames if f.endswith(".py")):
             path = os.path.join(dirpath, name)
-            digest.update(os.path.relpath(path, package).replace(os.sep, "/").encode())
+            rel = os.path.relpath(path, package).replace(os.sep, "/")
             with open(path, "rb") as fh:
-                digest.update(b"\0" + fh.read() + b"\0")
-    return digest.hexdigest()[:16]
+                sources.append((rel, fh.read()))
+            raw.update(rel.encode() + b"\0" + sources[-1][1] + b"\0")
+    key = raw.hexdigest()
+    cache = os.path.join(package, "__pycache__", "code_fingerprint")
+    try:
+        with open(cache) as fh:
+            cached_key, fingerprint = fh.read().split()
+        if cached_key == key:
+            return fingerprint
+    except (OSError, ValueError):
+        pass
+    digest = hashlib.sha256()
+    for rel, source in sources:
+        tree = ast.dump(_drop_docstrings(ast.parse(source, filename=rel)))
+        digest.update(rel.encode() + b"\0" + tree.encode() + b"\0")
+    fingerprint = digest.hexdigest()[:16]
+    try:
+        os.makedirs(os.path.dirname(cache), exist_ok=True)
+        tmp = f"{cache}.{os.getpid()}.part"
+        with open(tmp, "w") as fh:
+            fh.write(f"{key} {fingerprint}\n")
+        os.replace(tmp, cache)
+    except OSError:
+        pass  # a read-only install recomputes each time
+    return fingerprint
 
 
 def run_trial(cfg: ExperimentConfig, mnist=None) -> dict:

@@ -4,6 +4,7 @@ and gate trends, with CSV emission for plot-ready series.
 Every indicator reads the traces that one eval-mode ``forward`` returns, so
 it works on any model that speaks the model protocol (a harness bundle, an
 ``Smfr`` or a ``Transformer``) and can be recomputed from any checkpoint.
+That forward runs under ``no_grad`` and records no autodiff graph.
 The three scalar indicators are implementation-defined; the defining
 formulas live in the docstrings below.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import LayerTrace
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "RoutingTrace",
@@ -50,9 +51,11 @@ def extract_routing_trace(model, inputs: np.ndarray) -> RoutingTrace:
     """Per-layer attention weights and gates for one batch, detached.
 
     Models whose forward returns no routing traces (the plain feedforward
-    baseline) are rejected.
+    baseline) are rejected.  No autodiff graph is recorded, whatever the
+    model: a bare ``Smfr`` or ``Transformer`` is run under ``no_grad`` too.
     """
-    _, traces = model.forward(Tensor(np.asarray(inputs, dtype=np.float64)), eval_mode=True)
+    with no_grad():
+        _, traces = model.forward(Tensor(np.asarray(inputs, dtype=np.float64)), eval_mode=True)
     if not traces:
         raise ValueError(f"{type(model).__name__} has no routing decisions to inspect")
     if isinstance(traces[0], LayerTrace):

@@ -4,6 +4,8 @@ Every value flowing through a model is a :class:`Tensor` wrapping a numpy
 array.  Operations record their parents and a backward closure; calling
 ``backward()`` on a scalar loss topologically sorts the recorded graph and
 accumulates gradients into every reachable tensor that requires them.
+Inside ``with no_grad():`` operations record nothing: their results are plain
+constant tensors, so an evaluation forward keeps no graph alive.
 
 The engine is deliberately small: dense arrays, static shapes apart from the
 batch dimension, CPU only.  Double precision is the default so that gradient
@@ -12,6 +14,8 @@ available for training runs by constructing parameters as float32.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -36,7 +40,25 @@ __all__ = [
     "slice_axis",
     "sum_all",
     "mean_all",
+    "no_grad",
 ]
+
+# read by _make; off inside no_grad()
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Evaluate without recording: every op inside returns a constant tensor
+    with no parents and no backward closure.  Leaf parameters keep
+    ``requires_grad``; only the graph between them and the results is gone."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -170,10 +192,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _make(data, parents, backward_fn) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=requires, _parents=tuple(parents) if requires else (),
-                 _backward_fn=backward_fn if requires else None)
-    return out
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward_fn=backward_fn)
+    return Tensor(data)
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -218,7 +239,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of the trailing two axes; leading axes broadcast.
 
     Covers the plain 2-D case as well as the batched forms used by block
-    mixing ([batch, N, M] @ [batch, M, d]) and attention heads.
+    mixing ([batch, N, M] @ [batch, M, d]) and attention heads.  Backward
+    forms only the gradients of operands that require one; a 2-D ``b`` under
+    a batched ``a`` (a weight applied to every token) gets its gradient as
+    one 2-D product over the flattened leading axes.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
@@ -227,8 +251,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        if not b.requires_grad:
+            return
+        if b.data.ndim == 2 and a.data.ndim > 2:
+            k, n = b.data.shape
+            _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+        else:
+            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _make(data, (a, b), backward)
 

@@ -2,10 +2,12 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+import blockops
 from blockops import tensor as T
 from blockops.tensor import Tensor
 from blockops.nn import LayerTrace
@@ -258,6 +260,31 @@ class TestEvaluateAccuracy:
             evaluate_accuracy(lambda x: x, [])
 
 
+class TestEvalForward:
+    @pytest.mark.parametrize("model", [
+        {"kind": "smfr", "stack_width": 2, "stack_depth": 1, "fnn_hidden": [8]},
+        {"kind": "fnn", "hidden_widths": [8]},
+        TINY_TRANSFORMER,
+    ], ids=["smfr", "fnn", "transformer"])
+    def test_eval_mode_builds_no_graph_and_matches_a_graph_forward(self, model):
+        bundle = build_model(ExperimentConfig.from_dict({"model": model}),
+                             np.random.default_rng(0))
+        inputs = np.random.default_rng(1).normal(size=(4, 5, 10))
+        out, traces = bundle.forward(inputs, eval_mode=True)
+        graph_out, graph_traces = bundle.forward(inputs)
+        assert graph_out.requires_grad
+
+        def tensors(out, traces):
+            return [out] + [v for tr in traces for v in vars(tr).values()
+                            if isinstance(v, Tensor)]
+        evaluated, recorded = tensors(out, traces), tensors(graph_out, graph_traces)
+        assert len(evaluated) == len(recorded)
+        assert len(traces) == {"smfr": 2, "fnn": 0, "transformer": 3}[model["kind"]]
+        for t, g in zip(evaluated, recorded):
+            assert not t.requires_grad and t._parents == ()
+            assert np.array_equal(t.data, g.data)
+
+
 def bias_trace(weights: np.ndarray) -> list:
     w = Tensor(np.asarray(weights, dtype=np.float64))
     zeros = Tensor(np.zeros(weights.shape[:1] + weights.shape[2:]))
@@ -366,7 +393,11 @@ class TestRunTrial:
         assert records[-1]["record"] == "final"
         assert records[-1]["seed"] == 0
         assert records[-1]["wall_time_s"] >= 0
-        assert any(r["record"] == "metrics" for r in records)
+        metrics = [r for r in records if r["record"] == "metrics"]
+        assert metrics
+        for record in metrics:
+            assert record["train_ms_per_step"] > 0 and record["eval_ms"] > 0
+        assert "train_ms_per_step" not in records[-1] and "eval_ms" not in records[-1]
         for key in ("ood_accuracy", "ood_one_sided_accuracy",
                     "ood_swapped_accuracy"):
             assert 0.0 <= records[-1][key] <= 1.0
@@ -587,6 +618,51 @@ class TestGrid:
         assert size_bucket(50_000) == "MID"
         assert size_bucket(199_999) == "MID"
         assert size_bucket(200_000) == "HIGH"
+
+
+class TestCodeFingerprint:
+    def package_copy(self, tmp_path):
+        package = tmp_path / "blockops"
+        shutil.copytree(os.path.dirname(blockops.__file__), package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return package
+
+    def edit(self, path, old, new):
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+
+    def test_names_the_code_not_its_location(self, tmp_path):
+        package = self.package_copy(tmp_path)
+        assert code_fingerprint(str(package)) == code_fingerprint()
+
+    def test_comments_and_docstrings_do_not_count(self, tmp_path):
+        package = self.package_copy(tmp_path)
+        base = code_fingerprint(str(package))
+        tensor_py = package / "tensor.py"
+        self.edit(tensor_py, "# Iterative DFS;", "# An iterative DFS, as")
+        assert code_fingerprint(str(package)) == base
+        self.edit(tensor_py, '"""Dense tensors with', '"""Dense, CPU-only tensors with')
+        self.edit(tensor_py, "Mean softmax cross-entropy", "Average softmax cross-entropy")
+        self.edit(package / "nn.py", '"""Affine layers with',
+                  '"""A stack of affine layers with')
+        assert code_fingerprint(str(package)) == base
+        os.remove(package / "__pycache__" / "code_fingerprint")
+        assert code_fingerprint(str(package)) == base
+
+    def test_code_edit_and_file_move_change_it(self, tmp_path):
+        package = self.package_copy(tmp_path)
+        base = code_fingerprint(str(package))
+        optim_py = package / "optim.py"
+        original = optim_py.read_text()
+        self.edit(optim_py, "def adam_step(", "def  adam_step(")
+        assert code_fingerprint(str(package)) == base
+        self.edit(package / "tensor.py", "eps = 1e-20", "eps = 1e-21")
+        edited = code_fingerprint(str(package))
+        assert edited != base
+        optim_py.write_text(original)
+        os.rename(package / "harness" / "report.py", package / "harness" / "reports.py")
+        assert code_fingerprint(str(package)) not in (base, edited)
 
 
 class TestReport:

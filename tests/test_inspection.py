@@ -16,6 +16,7 @@ from blockops.harness.config import ExperimentConfig
 from blockops.harness.training import build_model
 from blockops.nn import Smfr, SmfrConfig, force_copy_routing
 from blockops.tasks.bpmnist import BLOCK_SIZE, NUM_PERMS, build_permutation_set, encode_bpmnist
+from blockops.tensor import Tensor
 from blockops.transformer import Transformer, TransformerConfig
 
 
@@ -119,6 +120,22 @@ class TestTraceExtraction:
         assert len(trace.layers) == 4
         for entry in trace.layers:
             assert np.allclose(entry["attention"].sum(axis=-1), 1.0, atol=1e-9)
+
+    def test_bare_model_builds_no_graph(self):
+        model = random_smfr(seed=10)
+        returned = []
+        forward = model.forward
+
+        def spy(*args, **kwargs):
+            returned.append(forward(*args, **kwargs))
+            return returned[-1]
+        model.forward = spy
+        extract_routing_trace(model, np.random.default_rng(11).normal(size=(3, 3, 4)))
+        out, traces = returned[0]
+        tensors = [out] + [v for tr in traces for v in vars(tr).values()
+                           if isinstance(v, Tensor)]
+        assert len(tensors) == 1 + 5 * len(traces)
+        assert all(not t.requires_grad and t._parents == () for t in tensors)
 
     def test_plain_fnn_is_rejected(self):
         cfg = ExperimentConfig.from_dict({"model": {"kind": "fnn", "hidden_widths": [8]}})

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockops import tensor as T
-from fdcheck import grad_check
+from fdcheck import finite_difference, grad_check, relative_error
 
 
 class TestElementwiseOps:
@@ -62,6 +62,34 @@ class TestMatmul:
         b = rng.normal(size=(4, 5))
         err = grad_check(lambda x, y: T.sum_all(T.matmul(x, y)), [a, b])
         assert err < 1e-4
+
+    def test_four_d_times_weight_gradient(self):
+        # attention heads: [batch, heads, seq, k] @ [k, n]; b's gradient folds
+        # every leading axis of a into one 2-D product
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(2, 3, 4, 5))
+        b = rng.normal(size=(5, 6))
+        w = rng.normal(size=(2, 3, 4, 6))
+        err = grad_check(lambda x, y: T.sum_all(T.mul(T.matmul(x, y), T.tensor(w))), [a, b])
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("constant", ["a", "b"])
+    def test_constant_operand_gets_no_gradient(self, constant):
+        rng = np.random.default_rng(4)
+        arrays = {"a": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(4, 5))}
+        w = rng.normal(size=(2, 3, 5))
+        fixed = T.tensor(arrays[constant])
+        learned = "b" if constant == "a" else "a"
+
+        def loss(x):
+            pair = {constant: fixed, learned: x}
+            return T.sum_all(T.mul(T.matmul(pair["a"], pair["b"]), T.tensor(w)))
+
+        x = T.parameter(arrays[learned].copy())
+        loss(x).backward(params=[x])
+        assert fixed.grad is None
+        numeric = finite_difference(lambda v: float(loss(T.tensor(v)).data), arrays[learned])
+        assert relative_error(x.grad, numeric) < 1e-6
 
 
 class TestLeakyRelu:
@@ -322,6 +350,29 @@ class TestBackwardPass:
         y = T.add(T.mul(x, x), x)
         T.sum_all(y).backward(params=[x])
         assert x.grad[0] == pytest.approx(5.0)
+
+    def test_no_grad_records_nothing(self):
+        x = T.parameter([1.0, 2.0])
+        with T.no_grad():
+            y = T.sum_all(T.mul(x, x) + 1.0)
+        assert not y.requires_grad
+        assert y._parents == () and y._backward_fn is None
+        assert y.item() == 7.0
+        assert x.requires_grad
+        assert T.sum_all(T.mul(x, x)).requires_grad
+
+    def test_no_grad_nests_and_restores_recording_after_an_error(self):
+        x = T.parameter([1.0])
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                with T.no_grad():
+                    pass
+                assert not (x * 2.0).requires_grad
+                raise RuntimeError("inside")
+        y = x * 2.0
+        assert y.requires_grad and y._parents
+        T.sum_all(y).backward(params=[x])
+        assert x.grad[0] == 2.0
 
     def test_deep_chain_does_not_hit_recursion_limit(self):
         x = T.parameter([1.0])
