@@ -189,7 +189,7 @@ def evaluate_accuracy(predict_fn, batches, chunk: int = 2500) -> float:
 
 def make_predict(bundle: ModelBundle):
     def predict(inputs: np.ndarray) -> np.ndarray:
-        # the image task's head runs outside the forward; record it neither
+        # also keeps the image task's head, applied after the forward, off the graph
         with T.no_grad():
             out, _ = bundle.forward(inputs, eval_mode=True)
             return predictions(bundle.logits(out))
@@ -667,8 +667,9 @@ def code_fingerprint(package: str | None = None) -> str:
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, package).replace(os.sep, "/")
             with open(path, "rb") as fh:
-                sources.append((rel, fh.read()))
-            raw.update(rel.encode() + b"\0" + sources[-1][1] + b"\0")
+                source = fh.read()
+            sources.append((rel, source))
+            raw.update(rel.encode() + b"\0" + source + b"\0")
     key = raw.hexdigest()
     cache = os.path.join(package, "__pycache__", "code_fingerprint")
     try:
