@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -202,35 +203,18 @@ def _from_dict(cls, data: dict, path: str):
         raise ConfigError(
             f"{path + '.' if path else ''}{unknown[0]}: unknown key; valid keys here: "
             + ", ".join(sorted(fields)))
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for name, f in fields.items():
         if name not in data:
             continue
         sub_path = f"{path}.{name}" if path else name
-        ftype = _field_type(cls, name)
+        ftype = hints[name]
         if dataclasses.is_dataclass(ftype):
             kwargs[name] = _from_dict(ftype, data[name], sub_path)
         else:
             kwargs[name] = _coerce_leaf(data[name], ftype, sub_path)
     return cls(**kwargs)
-
-
-def _field_type(cls, name):
-    # dataclass fields carry string annotations under future-imports; map the
-    # handful of shapes used here by inspecting the default instead
-    annot = cls.__dataclass_fields__[name].type
-    if isinstance(annot, type):
-        return annot
-    text = str(annot)
-    for t, label in ((ModelConfig, "ModelConfig"), (OptimizerConfig, "OptimizerConfig"),
-                     (RegularizationConfig, "RegularizationConfig"),
-                     (VariantFlags, "VariantFlags"), (BpmnistOptions, "BpmnistOptions")):
-        if label in text:
-            return t
-    for t in (bool, int, float, str, list):
-        if text == t.__name__:
-            return t
-    raise ConfigError(f"cannot resolve type of field {name}: {text}")
 
 
 def canonical_json(data: dict) -> str:
@@ -251,8 +235,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def valid_override_keys(cls=ExperimentConfig, prefix: str = "") -> list[str]:
     keys = []
+    hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        ftype = _field_type(cls, f.name)
+        ftype = hints[f.name]
         dotted = f"{prefix}{f.name}"
         if dataclasses.is_dataclass(ftype):
             keys.extend(valid_override_keys(ftype, prefix=f"{dotted}."))

@@ -1,4 +1,4 @@
-"""Model bundles, evaluation, the training step, and the four experiment loops.
+"""Model bundles, evaluation, the training loop, and the four experiments.
 
 Every network speaks one protocol, ``forward(blocks, rng=None, eval_mode=False)
 -> (blocks, traces)``, from a block tensor [batch, B, d] to output blocks
@@ -7,9 +7,10 @@ that feeds task inputs to the network; digit tasks read each output block
 directly as 10-class logits, the image task applies a trainable affine head
 to one output block.  An eval-mode forward records no autodiff graph, so
 evaluation holds only the arrays it is computing.  Every task trains through
-``_train_step``; each loop keeps its own batch source, evaluation cadence and
-summary, and each metrics record carries the window's training ms per step
-and its evaluation ms.
+one loop, ``_train``, which owns the step, the evaluation cadence, early
+stopping and the fields every metrics record shares (loss, penalty, routing
+logits, the window's training ms per step and its evaluation ms); a task
+supplies its batch loss, its evaluation, a stop predicate and its summary.
 
 Randomness is split into independent streams (init, data, routing noise,
 eval, probe) spawned from the config seed, so trials are bit-reproducible.
@@ -224,29 +225,34 @@ def _spawn_rngs(seed: int):
     return {name: np.random.default_rng(s) for name, s in zip(names, streams)}
 
 
-class _EarlyStop:
-    """Stop after N consecutive full-accuracy evaluations; 0 disables."""
+def _early_stop(needed: int):
+    """Stop predicate: ``needed`` consecutive full-accuracy evaluations; 0
+    never stops."""
+    streak = 0
 
-    def __init__(self, needed: int):
-        self.needed = needed
-        self.streak = 0
-
-    def update(self, train_accuracy: float) -> bool:
-        if self.needed == 0:
-            return False
-        self.streak = self.streak + 1 if train_accuracy >= 1.0 else 0
-        return self.streak >= self.needed
+    def stop(fields: dict) -> bool:
+        nonlocal streak
+        streak = streak + 1 if fields["train_accuracy"] >= 1.0 else 0
+        return 0 < needed <= streak
+    return stop
 
 
-class _LogitStats:
-    """What the sampled routing logits did against the penalty's band.
+class _Window:
+    """What a metrics record reports besides its task's evaluation: the
+    sampled routing logits against the penalty's band, and wall time.
 
     Each step reads the batch's largest |logit|; the step is beyond the band
     when that exceeds the regularization threshold, whether or not the
     penalty is enabled.  Kept for the run: the peak, the count of steps
     beyond the band and the longest run of consecutive such steps; and per
     evaluation window: the window's peak and its count of steps beyond.
-    Models without routing traces leave everything at zero.
+    Models without routing traces leave these at zero.
+
+    A window starts when the previous record drains it (or when the
+    accumulator is built) and its training ends where its evaluation starts;
+    the training time is reported per step.  Anything else run between
+    records outside an evaluation (the image task's checkpoint marks) counts
+    as training time.
     """
 
     def __init__(self, threshold: float):
@@ -257,6 +263,8 @@ class _LogitStats:
         self._run = 0
         self._window_peak = 0.0
         self._window_beyond = 0
+        self._start = time.perf_counter()
+        self._step = 0
 
     def update(self, traces) -> None:
         if not traces:
@@ -272,11 +280,18 @@ class _LogitStats:
         else:
             self._run = 0
 
-    def window(self) -> dict:
-        """Fields for a metrics record; the next window starts afresh."""
+    def drain(self, step: int, eval_start: float) -> dict:
+        """Fields for the record of the window that trained up to ``step``
+        and began its evaluation at ``eval_start``; the next window starts
+        now."""
+        now = time.perf_counter()
         fields = {"max_routing_logit": self.peak,
                   "window_max_routing_logit": self._window_peak,
-                  "window_steps_beyond_band": self._window_beyond}
+                  "window_steps_beyond_band": self._window_beyond,
+                  "train_ms_per_step": round(
+                      1e3 * (eval_start - self._start) / (step - self._step), 3),
+                  "eval_ms": round(1e3 * (now - eval_start), 3)}
+        self._start, self._step = now, step
         self._window_peak = 0.0
         self._window_beyond = 0
         return fields
@@ -287,56 +302,46 @@ class _LogitStats:
                 "longest_run_beyond_band": self.longest_run}
 
 
-class _WindowClock:
-    """Wall time of each evaluation window, for its metrics record.
+def _train(bundle: ModelBundle, writer: MetricsWriter, window: _Window, batch_loss, evaluate,
+           steps: int, start: int = 0, stop=None, eval_last: bool = False):
+    """Train from step ``start`` to step ``steps``; returns (the last step,
+    whether ``stop`` ended the training).
 
-    A window starts when the previous record's fields are taken (or at the
-    start of training) and its training ends at ``evaluating``; the
-    training time is reported per step.  Anything else run between records
-    outside an evaluation (the image task's checkpoint marks) counts as
-    training time.
-    """
-
-    def __init__(self):
-        self._start = self._eval_start = time.perf_counter()
-        self._step = 0
-        self._train_ms_per_step = 0.0
-
-    def evaluating(self, step: int) -> None:
-        """The window's training ended with ``step``; its evaluation starts."""
-        self._eval_start = time.perf_counter()
-        self._train_ms_per_step = 1e3 * (self._eval_start - self._start) / (step - self._step)
-        self._step = step
-
-    def window(self) -> dict:
-        """Fields for a metrics record; the next window starts now."""
-        self._start = time.perf_counter()
-        return {"train_ms_per_step": round(self._train_ms_per_step, 3),
-                "eval_ms": round(1e3 * (self._start - self._eval_start), 3)}
-
-
-def _train_step(bundle: ModelBundle, loss: Tensor, traces, stats: _LogitStats,
-                extra: Tensor | None = None) -> float:
-    """Penalty, backward, clip and Adam for one batch, then the logit stats;
-    returns the penalty's value.
-
-    The penalty and the stats read the Multiplexer and gate logits of the
-    ``LayerTrace``s only; attention traces carry no logits.  ``extra`` is an
-    optional further loss term (the image task's routing bias)."""
+    A step takes ``batch_loss(step) -> (loss, traces, extra or None)``, adds
+    the routing penalty and ``extra`` (the image task's routing bias), and
+    runs backward, clip and Adam.  The penalty and the window read the
+    Multiplexer and gate logits of the ``LayerTrace``s only; attention
+    traces carry no logits.  Every ``eval_every``-th step, counted from the
+    start of the trial, and the last step when ``eval_last`` is set, writes
+    a metrics record: the fields of ``evaluate(step)``, the step's loss and
+    penalty, and the window's fields.  Training stops after a record whose
+    fields satisfy ``stop``."""
     cfg = bundle.cfg
-    routing = [tr for tr in traces if isinstance(tr, LayerTrace)]
-    total, reg_value = loss, 0.0
-    if cfg.regularization.enabled and routing:
-        reg = routing_regularization_loss(routing, cfg.regularization.threshold)
-        total, reg_value = loss + reg, float(reg.data)
-    if extra is not None:
-        total = total + extra
     params = list(bundle.params.values())
-    total.backward(params=params)
-    clip_global_norm(params, cfg.clip_norm)
-    adam_step(bundle.opt)
-    stats.update(routing)
-    return reg_value
+    step = start
+    while step < steps:
+        loss, traces, extra = batch_loss(step)
+        routing = [tr for tr in traces if isinstance(tr, LayerTrace)]
+        total, reg_value = loss, 0.0
+        if cfg.regularization.enabled and routing:
+            reg = routing_regularization_loss(routing, cfg.regularization.threshold)
+            total, reg_value = loss + reg, float(reg.data)
+        if extra is not None:
+            total = total + extra
+        total.backward(params=params)
+        clip_global_norm(params, cfg.clip_norm)
+        adam_step(bundle.opt)
+        window.update(routing)
+        step += 1
+        if step % cfg.eval_every == 0 or (eval_last and step == steps):
+            eval_start = time.perf_counter()
+            fields = evaluate(step)
+            writer.write({"record": "metrics", "step": step, **fields,
+                          "loss": float(loss.data), "regularization_loss": reg_value,
+                          **window.drain(step, eval_start)})
+            if stop is not None and stop(fields):
+                return step, True
+    return step, False
 
 
 def run_addmul(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
@@ -348,50 +353,37 @@ def run_addmul(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle
     prep_pairs = addmul_task.preparation_only_pairs(alt)
     prep_set = addmul_task.exhaustive_batch([(a, b, "add") for a, b in prep_pairs])
 
-    logit_stats = _LogitStats(cfg.regularization.threshold)
-    clock = _WindowClock()
-    switched_at = None
-    step = 0
+    def stage_loss(stage: str):
+        def batch_loss(step):
+            batch = addmul_task.gen_addmul_batch(stage, cfg.batch_size, rngs["data"], alt)
+            out, traces = bundle.forward(batch.inputs, rng=rngs["routing"])
+            return block_cross_entropy(bundle.logits(out), batch.targets), traces, None
+        return batch_loss
+
+    window = _Window(cfg.regularization.threshold)
     # preparation stage: train until the exhaustive stage set clears threshold
-    while step < cfg.max_steps:
-        batch = addmul_task.gen_addmul_batch("preparation", cfg.batch_size, rngs["data"], alt)
-        out, traces = bundle.forward(batch.inputs, rng=rngs["routing"])
-        loss = block_cross_entropy(bundle.logits(out), batch.targets)
-        reg_value = _train_step(bundle, loss, traces, logit_stats)
-        step += 1
-        if step % cfg.eval_every == 0:
-            clock.evaluating(step)
-            acc = evaluate_accuracy(predict, stage1_set)
-            writer.write({"record": "metrics", "step": step, "stage": "preparation",
-                          "train_accuracy": acc, "loss": float(loss.data),
-                          "regularization_loss": reg_value, **logit_stats.window(),
-                          **clock.window()})
-            if acc >= cfg.threshold:
-                switched_at = step
-                break
-    if switched_at is None:
+    step, switched = _train(
+        bundle, writer, window, stage_loss("preparation"),
+        lambda step: {"stage": "preparation",
+                      "train_accuracy": evaluate_accuracy(predict, stage1_set)},
+        cfg.max_steps, stop=lambda fields: fields["train_accuracy"] >= cfg.threshold)
+    if not switched:
         final_prep = evaluate_accuracy(predict, prep_set)
         return {"completed": False, "reason": "threshold_not_reached",
                 "preparation_data_accuracy": final_prep, "switched_at": None,
-                "steps": step, **logit_stats.summary()}
+                "steps": step, **window.summary()}
 
-    # interference stage: fixed number of steps on the inverted distribution
-    for k in range(cfg.interference_steps):
-        batch = addmul_task.gen_addmul_batch("interference", cfg.batch_size, rngs["data"], alt)
-        out, traces = bundle.forward(batch.inputs, rng=rngs["routing"])
-        loss = block_cross_entropy(bundle.logits(out), batch.targets)
-        reg_value = _train_step(bundle, loss, traces, logit_stats)
-        step += 1
-        if (k + 1) % cfg.eval_every == 0 or k + 1 == cfg.interference_steps:
-            clock.evaluating(step)
-            prep_acc = evaluate_accuracy(predict, prep_set)
-            writer.write({"record": "metrics", "step": step, "stage": "interference",
-                          "preparation_data_accuracy": prep_acc, "loss": float(loss.data),
-                          "regularization_loss": reg_value, **logit_stats.window(),
-                          **clock.window()})
+    # interference stage: fixed number of steps on the inverted distribution;
+    # it starts on an evaluation step, so the global cadence is the stage's own
+    switched_at = step
+    step, _ = _train(
+        bundle, writer, window, stage_loss("interference"),
+        lambda step: {"stage": "interference",
+                      "preparation_data_accuracy": evaluate_accuracy(predict, prep_set)},
+        switched_at + cfg.interference_steps, start=switched_at, eval_last=True)
     final_prep = evaluate_accuracy(predict, prep_set)
     return {"completed": True, "reason": None, "preparation_data_accuracy": final_prep,
-            "switched_at": switched_at, "steps": step, **logit_stats.summary()}
+            "switched_at": switched_at, "steps": step, **window.summary()}
 
 
 def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
@@ -411,37 +403,29 @@ def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBun
                                   ood_set.targets[out_of_range == k])
                   for name, k in ood_splits.items()}
 
-    stopper = _EarlyStop(cfg.early_stop_evals)
-    logit_stats = _LogitStats(cfg.regularization.threshold)
-    clock = _WindowClock()
-    ood_curve = []
-    train_acc = 0.0
-    ood_acc = 0.0
-    step = 0
-    while step < cfg.max_steps:
+    def batch_loss(step):
         batch = doubleadd_task.gen_doubleadd_batch(cfg.batch_size, rngs["data"], alt)
         out, traces = bundle.forward(batch.inputs, rng=rngs["routing"])
-        loss = block_cross_entropy(bundle.logits(out), batch.targets)
-        reg_value = _train_step(bundle, loss, traces, logit_stats)
-        step += 1
-        if step % cfg.eval_every == 0:
-            clock.evaluating(step)
-            train_acc = evaluate_accuracy(predict, train_set)
-            ood_acc = evaluate_accuracy(predict, ood_set)
-            ood_curve.append(ood_acc)
-            writer.write({"record": "metrics", "step": step,
-                          "train_accuracy": train_acc, "ood_accuracy": ood_acc,
-                          "loss": float(loss.data), "regularization_loss": reg_value,
-                          **logit_stats.window(), **clock.window()})
-            if stopper.update(train_acc):
-                break
+        return block_cross_entropy(bundle.logits(out), batch.targets), traces, None
+
+    # the summary reports the last evaluation; zeros if there was none
+    evals = [{"train_accuracy": 0.0, "ood_accuracy": 0.0}]
+
+    def evaluate(step):
+        evals.append({"train_accuracy": evaluate_accuracy(predict, train_set),
+                      "ood_accuracy": evaluate_accuracy(predict, ood_set)})
+        return evals[-1]
+
+    window = _Window(cfg.regularization.threshold)
+    step, _ = _train(bundle, writer, window, batch_loss, evaluate, cfg.max_steps,
+                     stop=_early_stop(cfg.early_stop_evals))
     # stability of generalization: once at 1.0, the curve must not fall back
+    ood_curve = [fields["ood_accuracy"] for fields in evals[1:]]
     reached = [i for i, v in enumerate(ood_curve) if v >= 1.0]
     never_dropped = all(v >= 1.0 for v in ood_curve[reached[0]:]) if reached else True
-    summary = {"completed": True, "reason": None, "steps": step,
-               "train_accuracy": train_acc, "ood_accuracy": ood_acc,
+    summary = {"completed": True, "reason": None, "steps": step, **evals[-1],
                "ood_reached_one": bool(reached), "ood_never_dropped": never_dropped,
-               **logit_stats.summary()}
+               **window.summary()}
     for name, subset in split_sets.items():
         summary[name] = evaluate_accuracy(predict, subset)
     return summary
@@ -494,12 +478,7 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
         pred = np.argmax(final.data, axis=2)
         return float(np.all(pred == ep.final, axis=1).mean())
 
-    stopper = _EarlyStop(cfg.early_stop_evals)
-    logit_stats = _LogitStats(cfg.regularization.threshold)
-    clock = _WindowClock()
-    step = 0
-    train_acc = 0.0
-    while step < cfg.max_steps:
+    def batch_loss(step):
         episode = algo_task.gen_algo_episode(cfg.batch_size, 2, rngs["data"])
         loss_targets = episode.states if cfg.loss_per_step else None
         final, step_losses, traces = _algo_unroll(bundle, episode, rngs=rngs,
@@ -512,26 +491,24 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
             loss = loss * (1.0 / len(step_losses))
         else:
             loss = block_cross_entropy(final, episode.final)
-        reg_value = _train_step(bundle, loss, traces, logit_stats)
-        step += 1
-        if step % cfg.eval_every == 0:
-            clock.evaluating(step)
-            train_acc = eval_iteration(2)
-            record = {"record": "metrics", "step": step, "train_accuracy": train_acc,
-                      "accuracy_iter_4": eval_iteration(4), "loss": float(loss.data),
-                      "regularization_loss": reg_value, **logit_stats.window()}
-            if step % cfg.full_eval_every == 0:
-                for n in range(1, 10):
-                    record[f"accuracy_iter_{n}"] = eval_iteration(n)
-            writer.write({**record, **clock.window()})
-            if stopper.update(train_acc):
-                break
+        return loss, traces, None
+
+    def evaluate(step):
+        fields = {"train_accuracy": eval_iteration(2), "accuracy_iter_4": eval_iteration(4)}
+        if step % cfg.full_eval_every == 0:
+            for n in range(1, 10):
+                fields[f"accuracy_iter_{n}"] = eval_iteration(n)
+        return fields
+
+    window = _Window(cfg.regularization.threshold)
+    step, _ = _train(bundle, writer, window, batch_loss, evaluate, cfg.max_steps,
+                     stop=_early_stop(cfg.early_stop_evals))
     per_iter = {n: eval_iteration(n) for n in range(1, 10)}
     ood_even = float(np.mean([per_iter[n] for n in (4, 6, 8)]))
     ood_odd = float(np.mean([per_iter[n] for n in (1, 3, 5, 7, 9)]))
     summary = {"completed": True, "reason": None, "steps": step,
                "train_accuracy": per_iter[2], "ood_even": ood_even, "ood_odd": ood_odd,
-               "validation_accuracy": per_iter[4], **logit_stats.summary()}
+               "validation_accuracy": per_iter[4], **window.summary()}
     summary.update({f"accuracy_iter_{n}": v for n, v in per_iter.items()})
     return summary
 
@@ -549,7 +526,6 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundl
 
     marks = sorted({min(cfg.max_steps, max(1, round(25000 * cfg.bpmnist.scale))),
                     min(cfg.max_steps, max(1, round(250000 * cfg.bpmnist.scale)))})
-    last_step = marks[-1]
 
     val_sets = bpmnist_task.bpmnist_eval_sets(pset, mnist["test_images"], mnist["test_labels"],
                                               "validation", indicator)
@@ -574,13 +550,7 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundl
                                                  mnist["test_labels"][:256], "test", indicator)
         return inspection.permutation_difference(bundle, groups)
 
-    indicator_rows = []
-    initial = {"initial_permutation_difference": probe_difference()} if routes else {}
-    checkpoint_metrics = {}
-    logit_stats = _LogitStats(cfg.regularization.threshold)
-    clock = _WindowClock()
-    step = 0
-    while step < last_step:
+    def batch_loss(step):
         batch = bpmnist_task.gen_bpmnist_train_batch(pset, mnist["train_images"],
                                                      mnist["train_labels"], cfg.batch_size,
                                                      rngs["data"], indicator)
@@ -588,48 +558,50 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundl
         loss = block_cross_entropy(bundle.logits(out), batch.targets)
         bias = (apply_smfr_bias(traces, batch.metadata["perm_id"], pset, step)
                 if cfg.variants.bias else None)
-        reg_value = _train_step(bundle, loss, traces, logit_stats, extra=bias)
-        step += 1
-        if step % cfg.eval_every == 0:
-            clock.evaluating(step)
-            train_acc = evaluate_accuracy(predict, train_eval)
-            val_acc = evaluate_accuracy(predict, sub_val)
-            writer.write({"record": "metrics", "step": step, "train_accuracy": train_acc,
-                          "validation_accuracy": val_acc, "loss": float(loss.data),
-                          "regularization_loss": reg_value, **logit_stats.window(),
-                          **clock.window()})
-        if step in marks:
-            metrics = {
-                "train_accuracy": evaluate_accuracy(predict, train_eval),
-                "validation_accuracy": evaluate_accuracy(predict, val_sets),
-                "test_accuracy": evaluate_accuracy(predict, test_sets),
-                "holdout_accuracy": evaluate_accuracy(predict, holdout_sets),
-            }
-            if routes:
-                metrics["permutation_difference"] = probe_difference()
-            if cfg.model.kind == "smfr":
-                trace = inspection.extract_routing_trace(bundle, probe.inputs)
-                metrics["attention_sharpness"] = inspection.attention_sharpness(trace)
-                metrics["attention_fairness"] = inspection.attention_fairness(trace)
-                indicator_rows.append({"step": step,
-                                       "sharpness": metrics["attention_sharpness"],
-                                       "permutation_difference": metrics["permutation_difference"],
-                                       "fairness": metrics["attention_fairness"],
-                                       **inspection.gate_summary(trace, flat=True)})
-            checkpoint_metrics[step] = metrics
-            writer.write({"record": "checkpoint", "step": step, **metrics})
-            if results_prefix:
-                save_checkpoint(f"{results_prefix}_step{step}.ckpt", bundle.params,
-                                {"config": cfg.to_dict(), "step": step})
+        return loss, traces, bias
+
+    def evaluate(step):
+        return {"train_accuracy": evaluate_accuracy(predict, train_eval),
+                "validation_accuracy": evaluate_accuracy(predict, sub_val)}
+
+    indicator_rows = []
+    initial = {"initial_permutation_difference": probe_difference()} if routes else {}
+    checkpoint_metrics = {}
+    window = _Window(cfg.regularization.threshold)
+    step = 0
+    # train in segments that end at the checkpoint marks
+    for mark in marks:
+        step, _ = _train(bundle, writer, window, batch_loss, evaluate, mark, start=step)
+        metrics = {
+            "train_accuracy": evaluate_accuracy(predict, train_eval),
+            "validation_accuracy": evaluate_accuracy(predict, val_sets),
+            "test_accuracy": evaluate_accuracy(predict, test_sets),
+            "holdout_accuracy": evaluate_accuracy(predict, holdout_sets),
+        }
+        if routes:
+            metrics["permutation_difference"] = probe_difference()
+        if cfg.model.kind == "smfr":
+            trace = inspection.extract_routing_trace(bundle, probe.inputs)
+            metrics["attention_sharpness"] = inspection.attention_sharpness(trace)
+            metrics["attention_fairness"] = inspection.attention_fairness(trace)
+            indicator_rows.append({"step": step,
+                                   "sharpness": metrics["attention_sharpness"],
+                                   "permutation_difference": metrics["permutation_difference"],
+                                   "fairness": metrics["attention_fairness"],
+                                   **inspection.gate_summary(trace, flat=True)})
+        checkpoint_metrics[step] = metrics
+        writer.write({"record": "checkpoint", "step": step, **metrics})
+        if results_prefix:
+            save_checkpoint(f"{results_prefix}_step{step}.ckpt", bundle.params,
+                            {"config": cfg.to_dict(), "step": step})
     if results_prefix and indicator_rows:
         inspection.write_indicator_csv(f"{results_prefix}_indicators.csv", indicator_rows)
-    early, late = marks[0], marks[-1]
     return {"completed": True, "reason": None, "steps": step,
             "scale": cfg.bpmnist.scale, "checkpoint_marks": marks,
             **initial,
-            "early": checkpoint_metrics.get(early, {}),
-            "late": checkpoint_metrics.get(late, {}),
-            **logit_stats.summary(),
+            "early": checkpoint_metrics[marks[0]],
+            "late": checkpoint_metrics[marks[-1]],
+            **window.summary(),
             "holdout_digits": {str(k): v for k, v in pset.holdout.items()}}
 
 

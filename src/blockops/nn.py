@@ -102,24 +102,24 @@ class SmfrConfig:
         return shapes
 
 
-def _init_affine(rng: np.random.Generator, fan_in: int, fan_out: int, dtype):
+def _init_affine(rng: np.random.Generator, fan_in: int, fan_out: int):
     bound = np.sqrt(1.0 / fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
-    b = np.zeros(fan_out, dtype=dtype)
+    w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    b = np.zeros(fan_out)
     return T.parameter(w), T.parameter(b)
 
 
 class Fnn:
     """Affine layers with leaky-relu between them; the final layer is linear."""
 
-    def __init__(self, rng, cfg: FnnConfig, dtype=np.float64, name="fnn"):
+    def __init__(self, rng, cfg: FnnConfig, name="fnn"):
         cfg.validate()
         self.cfg = cfg
         self.name = name
         self.layers = []
         widths = [cfg.input_size] + list(cfg.hidden_widths) + [cfg.output_size]
         for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            self.layers.append(_init_affine(rng, fan_in, fan_out, dtype))
+            self.layers.append(_init_affine(rng, fan_in, fan_out))
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
@@ -164,18 +164,14 @@ class LayerTrace:
 
 class Multiplexer:
     def __init__(self, rng, n_in, n_out, block_size, fnn_hidden, attention=SOFTMAX,
-                 temperature=1.0, slope=0.01, dtype=np.float64, name="mux"):
+                 temperature=1.0, name="mux"):
         self.n_in = n_in
         self.n_out = n_out
         self.block_size = block_size
         self.attention = attention
         self.temperature = temperature
-        self.fnn = Fnn(
-            rng,
-            FnnConfig(n_in * block_size, n_in * n_out, list(fnn_hidden), slope),
-            dtype=dtype,
-            name=f"{name}.fnn",
-        )
+        self.fnn = Fnn(rng, FnnConfig(n_in * block_size, n_in * n_out, list(fnn_hidden)),
+                       name=f"{name}.fnn")
 
     def forward(self, blocks: Tensor, rng=None, eval_mode=False):
         batch = blocks.shape[0]
@@ -200,15 +196,13 @@ class Multiplexer:
 
 
 class Fnnr:
-    def __init__(self, rng, n_blocks, block_size, context_blocks, fnn_hidden,
-                 slope=0.01, dtype=np.float64, name="fnnr"):
+    def __init__(self, rng, n_blocks, block_size, context_blocks, fnn_hidden, name="fnnr"):
         self.n_blocks = n_blocks
         self.block_size = block_size
         self.context_blocks = context_blocks
         in_size = (n_blocks + context_blocks) * block_size
         out_size = n_blocks * block_size + n_blocks
-        self.fnn = Fnn(rng, FnnConfig(in_size, out_size, list(fnn_hidden), slope),
-                       dtype=dtype, name=f"{name}.fnn")
+        self.fnn = Fnn(rng, FnnConfig(in_size, out_size, list(fnn_hidden)), name=f"{name}.fnn")
 
     def forward(self, routed: Tensor, context: Tensor | None):
         batch, n, d = routed.shape
@@ -240,11 +234,11 @@ class Mfnnr:
     """Multiplexer followed by an Fnnr that sees the original input as context."""
 
     def __init__(self, rng, n_in, n_out, block_size, fnn_hidden, attention=SOFTMAX,
-                 no_context=False, temperature=1.0, slope=0.01, dtype=np.float64, name="mfnnr"):
+                 no_context=False, temperature=1.0, name="mfnnr"):
         self.mux = Multiplexer(rng, n_in, n_out, block_size, fnn_hidden, attention,
-                               temperature, slope, dtype, name=f"{name}.mux")
+                               temperature, name=f"{name}.mux")
         self.fnnr = Fnnr(rng, n_out, block_size, 0 if no_context else n_in,
-                         fnn_hidden, slope, dtype, name=f"{name}.fnnr")
+                         fnn_hidden, name=f"{name}.fnnr")
         self.no_context = no_context
 
     def forward(self, blocks: Tensor, rng=None, eval_mode=False):
@@ -259,14 +253,13 @@ class Mfnnr:
 
 
 class Smfr:
-    def __init__(self, cfg: SmfrConfig, rng, dtype=np.float64, name="smfr"):
+    def __init__(self, cfg: SmfrConfig, rng, name="smfr"):
         cfg.validate()
         self.cfg = cfg
         self.name = name
         self.layers = [
             Mfnnr(rng, m, n, cfg.block_size, cfg.fnn_hidden, cfg.attention,
-                  cfg.no_context, cfg.gumbel_temperature, dtype=dtype,
-                  name=f"{name}.layer{i}")
+                  cfg.no_context, cfg.gumbel_temperature, name=f"{name}.layer{i}")
             for i, (m, n) in enumerate(cfg.layer_shapes())
         ]
 

@@ -9,8 +9,7 @@ constant tensors, so an evaluation forward keeps no graph alive.
 
 The engine is deliberately small: dense arrays, static shapes apart from the
 batch dimension, CPU only.  Double precision is the default so that gradient
-checks against central finite differences are meaningful; single precision is
-available for training runs by constructing parameters as float32.
+checks against central finite differences are meaningful.
 """
 
 from __future__ import annotations

@@ -58,14 +58,14 @@ class AttentionTrace:
 class _Attention:
     """Multi-head attention; query and key/value sequences may differ."""
 
-    def __init__(self, rng, width, heads, dtype, name):
+    def __init__(self, rng, width, heads, name):
         self.width = width
         self.heads = heads
         self.head_dim = width // heads
-        self.wq = _init_affine(rng, width, width, dtype)
-        self.wk = _init_affine(rng, width, width, dtype)
-        self.wv = _init_affine(rng, width, width, dtype)
-        self.wo = _init_affine(rng, width, width, dtype)
+        self.wq = _init_affine(rng, width, width)
+        self.wk = _init_affine(rng, width, width)
+        self.wv = _init_affine(rng, width, width)
+        self.wo = _init_affine(rng, width, width)
         self.name = name
 
     def _split(self, x: Tensor, batch, seq):
@@ -94,9 +94,9 @@ class _Attention:
 
 
 class _Ffn:
-    def __init__(self, rng, width, hidden, slope, dtype, name):
-        self.l1 = _init_affine(rng, width, hidden, dtype)
-        self.l2 = _init_affine(rng, hidden, width, dtype)
+    def __init__(self, rng, width, hidden, slope, name):
+        self.l1 = _init_affine(rng, width, hidden)
+        self.l2 = _init_affine(rng, hidden, width)
         self.slope = slope
         self.name = name
 
@@ -112,31 +112,31 @@ class _Ffn:
 
 
 class Transformer:
-    def __init__(self, cfg: TransformerConfig, rng, dtype=np.float64, name="transformer"):
+    def __init__(self, cfg: TransformerConfig, rng, name="transformer"):
         cfg.validate()
         self.cfg = cfg
         self.name = name
         w = cfg.model_width
-        self.in_proj = _init_affine(rng, cfg.block_size, w, dtype)
-        self.out_proj = _init_affine(rng, w, cfg.block_size, dtype)
+        self.in_proj = _init_affine(rng, cfg.block_size, w)
+        self.out_proj = _init_affine(rng, w, cfg.block_size)
         bound = np.sqrt(1.0 / w)
         self.pos_embed = T.parameter(
-            rng.uniform(-bound, bound, size=(cfg.input_blocks, w)).astype(dtype))
+            rng.uniform(-bound, bound, size=(cfg.input_blocks, w)))
         self.queries = T.parameter(
-            rng.uniform(-bound, bound, size=(cfg.output_blocks, w)).astype(dtype))
+            rng.uniform(-bound, bound, size=(cfg.output_blocks, w)))
         self.enc_attn = []
         self.enc_ffn = []
         for i in range(cfg.num_encoder_layers):
-            self.enc_attn.append(_Attention(rng, w, cfg.num_heads, dtype, f"{name}.enc{i}.attn"))
-            self.enc_ffn.append(_Ffn(rng, w, cfg.ffn_width, cfg.activation_slope, dtype,
+            self.enc_attn.append(_Attention(rng, w, cfg.num_heads, f"{name}.enc{i}.attn"))
+            self.enc_ffn.append(_Ffn(rng, w, cfg.ffn_width, cfg.activation_slope,
                                      f"{name}.enc{i}.ffn"))
         self.dec_self = []
         self.dec_cross = []
         self.dec_ffn = []
         for i in range(cfg.num_decoder_layers):
-            self.dec_self.append(_Attention(rng, w, cfg.num_heads, dtype, f"{name}.dec{i}.self"))
-            self.dec_cross.append(_Attention(rng, w, cfg.num_heads, dtype, f"{name}.dec{i}.cross"))
-            self.dec_ffn.append(_Ffn(rng, w, cfg.ffn_width, cfg.activation_slope, dtype,
+            self.dec_self.append(_Attention(rng, w, cfg.num_heads, f"{name}.dec{i}.self"))
+            self.dec_cross.append(_Attention(rng, w, cfg.num_heads, f"{name}.dec{i}.cross"))
+            self.dec_ffn.append(_Ffn(rng, w, cfg.ffn_width, cfg.activation_slope,
                                      f"{name}.dec{i}.ffn"))
 
     def forward(self, blocks: Tensor, rng=None, eval_mode=False):

@@ -422,6 +422,36 @@ class TestRunTrial:
         assert none["steps_beyond_band"] == none["longest_run_beyond_band"] == 0
         assert [w["window_steps_beyond_band"] for w in windows] == [0, 0]
 
+    @pytest.mark.parametrize("early_stop_evals, steps", [(3, 12), (0, 100)])
+    def test_early_stop_after_consecutive_full_accuracy(self, tmp_path, monkeypatch,
+                                                        early_stop_evals, steps):
+        monkeypatch.setattr(training, "evaluate_accuracy", lambda predict, batches: 1.0)
+        cfg = ExperimentConfig.from_dict(tiny_config(
+            tmp_path, max_steps=100, eval_every=4, early_stop_evals=early_stop_evals))
+        summary = run_trial(cfg)
+        assert summary["steps"] == steps
+        records = read_records(results_path(cfg.results_dir, "doubleadd", config_hash(cfg), 0))
+        assert [r["step"] for r in records if r["record"] == "metrics"] == \
+            list(range(4, steps + 1, 4))
+
+    def test_step_markers_are_called_once_per_step(self, tmp_path, monkeypatch):
+        # the benchmark's tracer wraps these names to find step boundaries, so
+        # the loop must look them up when it calls them
+        from blockops.tasks import doubleadd as doubleadd_task
+        calls = {"batch": 0, "adam": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(doubleadd_task, "gen_doubleadd_batch",
+                            counted("batch", doubleadd_task.gen_doubleadd_batch))
+        monkeypatch.setattr(training, "adam_step", counted("adam", training.adam_step))
+        run_trial(ExperimentConfig.from_dict(tiny_config(tmp_path, max_steps=6, eval_every=3)))
+        assert calls == {"batch": 6, "adam": 6}
+
     def test_saves_loadable_final_checkpoint(self, tmp_path):
         cfg = ExperimentConfig.from_dict(tiny_config(tmp_path))
         run_trial(cfg)
@@ -460,13 +490,19 @@ class TestRunTrial:
 
     def test_addmul_stages_and_threshold(self, tmp_path):
         data = tiny_config(tmp_path, experiment="addmul", max_steps=40,
-                           eval_every=10, interference_steps=10)
+                           eval_every=5, interference_steps=12)
         data["threshold"] = 0.05   # cleared by chance-level accuracy
-        summary = run_trial(ExperimentConfig.from_dict(data))
+        cfg = ExperimentConfig.from_dict(data)
+        summary = run_trial(cfg)
         assert summary["completed"]
-        assert summary["switched_at"] is not None
-        assert summary["steps"] == summary["switched_at"] + 10
+        switched_at = summary["switched_at"]
+        assert switched_at is not None
+        assert summary["steps"] == switched_at + 12
         assert 0.0 <= summary["preparation_data_accuracy"] <= 1.0
+        # every eval_every-th step of the stage, and its last step
+        records = read_records(results_path(cfg.results_dir, "addmul", config_hash(cfg), 0))
+        assert [r["step"] for r in records if r.get("stage") == "interference"] == \
+            [switched_at + 5, switched_at + 10, switched_at + 12]
 
     def test_addmul_threshold_never_reached(self, tmp_path):
         data = tiny_config(tmp_path, experiment="addmul", max_steps=10,
@@ -520,9 +556,15 @@ class TestRunTrial:
                          else {"kind": "smfr", "stack_width": 4, "stack_depth": 0,
                                "fnn_hidden": [8]})
         data["bpmnist"] = {"scale": 1e-4, "eval_subset": 32, "probe_size": 16}
-        summary = run_trial(ExperimentConfig.from_dict(data), mnist=mnist)
+        cfg = ExperimentConfig.from_dict(data)
+        summary = run_trial(cfg, mnist=mnist)
         assert summary["completed"]
         assert summary["checkpoint_marks"] == [2, 6]
+        records = read_records(results_path(cfg.results_dir, "bpmnist", config_hash(cfg), 0))
+        # step 6's metrics record comes before its checkpoint record
+        assert [(r["record"], r["step"]) for r in records
+                if r["record"] in ("metrics", "checkpoint")] == \
+            [("checkpoint", 2), ("metrics", 3), ("metrics", 6), ("checkpoint", 6)]
         for mark in ("early", "late"):
             assert 0.0 <= summary[mark]["test_accuracy"] <= 1.0
         # the permutation difference reads routing, which only routing models have

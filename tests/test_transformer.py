@@ -14,8 +14,7 @@ def tiny_config(**overrides):
 
 class TestAttention:
     def test_weights_are_distributions_over_sources(self):
-        attn = _Attention(np.random.default_rng(0), width=8, heads=2,
-                          dtype=np.float64, name="a")
+        attn = _Attention(np.random.default_rng(0), width=8, heads=2, name="a")
         rng = np.random.default_rng(1)
         q = T.tensor(rng.normal(size=(2, 3, 8)))
         kv = T.tensor(rng.normal(size=(2, 5, 8)))
@@ -27,8 +26,7 @@ class TestAttention:
     def test_single_source_token_reduces_to_value_path(self):
         # one key/value token forces attention weight 1, so the output is just
         # the value projection followed by the output projection
-        attn = _Attention(np.random.default_rng(2), width=6, heads=1,
-                          dtype=np.float64, name="a")
+        attn = _Attention(np.random.default_rng(2), width=6, heads=1, name="a")
         rng = np.random.default_rng(3)
         q = rng.normal(size=(2, 2, 6))
         kv = rng.normal(size=(2, 1, 6))
