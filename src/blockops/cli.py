@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from .harness.config import (ExperimentConfig, ConfigError, apply_overrides,
-                             parse_override)
+                             json_object, parse_override)
 from .harness.grid import GridSpec, grid_search
-from .harness.training import build_model, run_trial
+from .harness.training import replay_init, run_trial
 from .harness import report as report_mod
 from .checkpoint import load_checkpoint, restore_parameters, CheckpointError
 from .tasks.mnist_io import load_mnist, MnistUnavailableError
@@ -33,9 +33,7 @@ def _headline(payload: dict) -> None:
 
 def _load_config(path: str, overrides) -> ExperimentConfig:
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
+        data = json_object(fh.read(), "config")
     parsed = [parse_override(item) for item in overrides]
     apply_overrides(data, parsed)
     return ExperimentConfig.from_dict(data).validate()
@@ -74,7 +72,7 @@ def cmd_grid(args) -> int:
     return 1 if failures else 0
 
 
-def _probe_inputs(cfg: ExperimentConfig, seed: int, allow_download: bool) -> np.ndarray:
+def _probe_inputs(cfg: ExperimentConfig, pset, seed: int, allow_download: bool) -> np.ndarray:
     from .tasks import addmul, doubleadd, algo, bpmnist
 
     rng = np.random.default_rng(seed)
@@ -86,7 +84,6 @@ def _probe_inputs(cfg: ExperimentConfig, seed: int, allow_download: bool) -> np.
     if cfg.experiment == "algo":
         return algo.gen_algo_episode(512, 1, rng).step_batch(0).inputs
     mnist = load_mnist(cfg.data_dir or None, allow_download=allow_download)
-    pset = bpmnist.build_permutation_set(rng)
     return bpmnist.gen_bpmnist_train_batch(pset, mnist["train_images"],
                                            mnist["train_labels"], 512, rng,
                                            cfg.bpmnist.indicator).inputs
@@ -95,15 +92,15 @@ def _probe_inputs(cfg: ExperimentConfig, seed: int, allow_download: bool) -> np.
 def cmd_inspect(args) -> int:
     tensors, header = load_checkpoint(args.checkpoint)
     cfg = ExperimentConfig.from_dict(header["config"]).validate()
-    # restore_parameters overwrites every parameter, so any generator builds it
-    bundle = build_model(cfg, np.random.default_rng(0))
+    # a checkpoint holds neither permutation; the replayed init stream does
+    _, pset, bundle = replay_init(cfg)
     restore_parameters(bundle.params, tensors)
-    inputs = _probe_inputs(cfg, args.probe_seed, args.allow_download)
+    inputs = _probe_inputs(cfg, pset, args.probe_seed, args.allow_download)
     trace = inspection.extract_routing_trace(bundle, inputs)
     row = {"step": header.get("step"),
            "sharpness": inspection.attention_sharpness(trace),
            "fairness": inspection.attention_fairness(trace)}
-    row.update(inspection.gate_summary(trace, flat=True))
+    row.update(inspection.gate_summary(trace))
     if args.out:
         inspection.write_indicator_csv(args.out, [row])
     _headline(row)
@@ -113,8 +110,9 @@ def cmd_inspect(args) -> int:
 def cmd_report(args) -> int:
     report = report_mod.write_report(args.results, args.out)
     for experiment, table in report.items():
+        # write_report writes no CSV for a table without completed trials
         _headline({"experiment": experiment, "rows": len(table),
-                   "out": f"{args.out}/{experiment}.csv"})
+                   "out": f"{args.out}/{experiment}.csv" if table else None})
     return 0
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "parse_override",
     "apply_overrides",
     "valid_override_keys",
+    "json_object",
 ]
 
 EXPERIMENTS = ("addmul", "doubleadd", "algo", "bpmnist")
@@ -156,15 +157,17 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         return _from_dict(cls, data, path="")
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        return cls.from_dict(data)
+
+def json_object(text: str, what: str) -> dict:
+    """``text`` parsed as a JSON object; a ConfigError naming ``what`` (a
+    config, a grid spec) when it is not valid JSON or not an object."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{what} is not valid JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} root must be a JSON object")
+    return data
 
 
 _LEAF_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean", list: "list"}

@@ -17,7 +17,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from .config import (ExperimentConfig, ConfigError, apply_overrides,
-                     config_hash, valid_override_keys)
+                     config_hash, json_object, valid_override_keys)
 from .metrics import read_records, results_path
 from .training import code_fingerprint, run_trial
 
@@ -32,8 +32,14 @@ class GridSpec:
     seed_base: int = 0
 
     def validate(self) -> "GridSpec":
+        for name in ("trials_per_cell", "seed_base"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name}: expected integer, got {type(value).__name__}")
         if self.trials_per_cell <= 0:
             raise ConfigError("trials_per_cell: must be positive")
+        if not isinstance(self.base, dict):
+            raise ConfigError("base: must be an object")
         if not isinstance(self.axes, dict):
             raise ConfigError("axes: must be an object of key -> list of values")
         valid = set(valid_override_keys())
@@ -47,7 +53,7 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
-        data = json.loads(text)
+        data = json_object(text, "grid spec")
         known = {"base", "axes", "trials_per_cell", "seed_base"}
         unknown = sorted(set(data) - known)
         if unknown:

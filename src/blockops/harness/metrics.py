@@ -20,13 +20,11 @@ def results_path(results_dir: str, experiment: str, cfg_hash: str, seed: int) ->
 class MetricsWriter:
     def __init__(self, path: str):
         self.path = path
-        self._records = []
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         self._part = path + ".part"
         self._fh = open(self._part, "w")
 
     def write(self, record: dict) -> None:
-        self._records.append(record)
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
 
@@ -38,10 +36,6 @@ class MetricsWriter:
         self._fh.close()
         if os.path.exists(self._part):
             os.unlink(self._part)
-
-    @property
-    def records(self):
-        return list(self._records)
 
 
 def read_records(path: str) -> list[dict]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import glob
-import json
 import os
 
 import numpy as np

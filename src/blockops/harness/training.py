@@ -47,6 +47,7 @@ from .metrics import MetricsWriter, results_path
 
 __all__ = [
     "build_model",
+    "replay_init",
     "ModelBundle",
     "evaluate_accuracy",
     "apply_smfr_bias",
@@ -83,7 +84,9 @@ def _build_net(cfg: ExperimentConfig, shape, rng):
 
 
 class ModelBundle:
-    """The network, an optional classifier head, and their optimizer."""
+    """The network, an optional classifier head, their optimizer, and for
+    algo's ``noisy_permutation`` variant one fixed scramble of the flattened
+    input values, so that blocks no longer line up with the variables."""
 
     def __init__(self, cfg: ExperimentConfig, shape, init_rng):
         self.cfg = cfg
@@ -93,6 +96,12 @@ class ModelBundle:
         if cfg.experiment == "bpmnist":
             d = shape[2]
             self.head = Fnn(init_rng, FnnConfig(d, 10, []), name="head")
+        self.permutation = None
+        if cfg.variants.noisy_permutation:
+            n_in, _, d = shape
+            self.permutation = init_rng.permutation(n_in * d)
+            # scrambled[:, j] = flat[:, perm[j]], as a fixed matrix product
+            self._scramble = Tensor(np.eye(n_in * d)[:, self.permutation].copy())
         self.params = dict(self.net.parameters())
         if self.head is not None:
             self.params.update(self.head.parameters())
@@ -110,19 +119,20 @@ class ModelBundle:
 
         An eval-mode forward runs under ``no_grad``: its output and traces
         are constants and no autodiff graph is recorded or kept alive.  The
-        flat ``Fnn`` sees the blocks concatenated and has no routing to
-        trace; the block models take the blocks as they are."""
+        noisy permutation applies first.  The flat ``Fnn`` sees the blocks
+        concatenated and has no routing to trace; the block models take the
+        blocks as they are."""
         with T.no_grad() if eval_mode else contextlib.nullcontext():
-            if self.cfg.model.kind == "fnn":
-                n_in, n_out, d = self.shape
-                batch = inputs.shape[0]
-                if isinstance(inputs, Tensor):
-                    flat = T.reshape(inputs, (batch, n_in * d))
-                else:
-                    flat = Tensor(inputs.reshape(batch, n_in * d))
-                return T.reshape(self.net.forward(flat), (batch, n_out, d)), []
+            n_in, n_out, d = self.shape
+            batch = inputs.shape[0]
             if not isinstance(inputs, Tensor):
                 inputs = Tensor(inputs)
+            if self.permutation is not None:
+                flat = T.matmul(T.reshape(inputs, (batch, n_in * d)), self._scramble)
+                inputs = T.reshape(flat, (batch, n_in, d))
+            if self.cfg.model.kind == "fnn":
+                flat = T.reshape(inputs, (batch, n_in * d))
+                return T.reshape(self.net.forward(flat), (batch, n_out, d)), []
             return self.net.forward(inputs, rng=rng, eval_mode=eval_mode)
 
     def logits(self, out_blocks: Tensor) -> Tensor:
@@ -139,14 +149,23 @@ class ModelBundle:
         return sum(p.size for p in self.params.values())
 
 
-def build_model(cfg: ExperimentConfig, init_rng, shape=None) -> ModelBundle:
-    if shape is None:
-        if cfg.experiment == "bpmnist":
-            n_in = 5 if cfg.bpmnist.indicator else 4
-            shape = (n_in, 1, bpmnist_task.BLOCK_SIZE)
-        else:
-            shape = TASK_SHAPES[cfg.experiment]
+def build_model(cfg: ExperimentConfig, init_rng) -> ModelBundle:
+    if cfg.experiment == "bpmnist":
+        shape = (5 if cfg.bpmnist.indicator else 4, 1, bpmnist_task.BLOCK_SIZE)
+    else:
+        shape = TASK_SHAPES[cfg.experiment]
     return ModelBundle(cfg, shape, init_rng)
+
+
+def replay_init(cfg: ExperimentConfig):
+    """A trial's start, replayed from its seed: (the five random streams, the
+    image task's permutation set or None, the model with its noisy
+    permutation), drawn from the init stream in that order."""
+    streams = np.random.SeedSequence(cfg.seed).spawn(5)
+    names = ("init", "data", "routing", "eval", "probe")
+    rngs = {name: np.random.default_rng(s) for name, s in zip(names, streams)}
+    pset = bpmnist_task.build_permutation_set(rngs["init"]) if cfg.experiment == "bpmnist" else None
+    return rngs, pset, build_model(cfg, rngs["init"])
 
 
 def block_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -217,12 +236,6 @@ def apply_smfr_bias(traces, perm_ids: np.ndarray, pset, step: int) -> Tensor:
             target[i, inv[n], n] = 1.0
     picked = T.sum_all(Tensor(target) * T.log(weights + 1e-12))
     return picked * (-1.0 / (b * n_bias))
-
-
-def _spawn_rngs(seed: int):
-    streams = np.random.SeedSequence(seed).spawn(5)
-    names = ("init", "data", "routing", "eval", "probe")
-    return {name: np.random.default_rng(s) for name, s in zip(names, streams)}
 
 
 def _early_stop(needed: int):
@@ -432,18 +445,13 @@ def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBun
 
 
 def _algo_unroll(bundle: ModelBundle, episode, rngs=None, eval_mode=False,
-                 neuron_perm=None, loss_targets=None):
+                 loss_targets=None):
     """Run the model recurrently over an episode: raw output blocks feed back
     as the next state, the rule indicator is replaced each iteration.
     Returns (final blocks, per-step losses if requested, the traces of
     every iteration in order)."""
     from ..tasks.batches import one_hot
 
-    batch = episode.states.shape[0]
-    perm_matrix = None
-    if neuron_perm is not None:
-        # scrambled[:, j] = flat[:, perm[j]], as a fixed matrix product
-        perm_matrix = Tensor(np.eye(algo_task.INPUT_NEURONS)[:, neuron_perm].copy())
     state = Tensor(np.stack([one_hot(episode.initial[:, i], algo_task.BLOCK_SIZE)
                              for i in range(algo_task.NUM_VARS)], axis=1))
     losses = []
@@ -452,10 +460,6 @@ def _algo_unroll(bundle: ModelBundle, episode, rngs=None, eval_mode=False,
         ind = Tensor(indicator_block(episode.rule_ids[:, t], algo_task.NUM_RULES,
                                      algo_task.BLOCK_SIZE)[:, None, :])
         inputs = T.concat([state, ind], axis=1)
-        if perm_matrix is not None:
-            flat = T.reshape(inputs, (batch, algo_task.INPUT_NEURONS))
-            inputs = T.reshape(T.matmul(flat, perm_matrix),
-                               (batch, algo_task.NUM_VARS + 1, algo_task.BLOCK_SIZE))
         rng = None if eval_mode else (rngs["routing"] if rngs else None)
         out, tr = bundle.forward(inputs, rng=rng, eval_mode=eval_mode)
         traces += tr
@@ -467,14 +471,11 @@ def _algo_unroll(bundle: ModelBundle, episode, rngs=None, eval_mode=False,
 
 def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
              rngs) -> dict:
-    neuron_perm = (algo_task.draw_neuron_permutation(rngs["init"])
-                   if cfg.variants.noisy_permutation else None)
-
     eval_episodes = {n: algo_task.gen_algo_episode(500, n, rngs["eval"]) for n in range(1, 10)}
 
     def eval_iteration(n: int) -> float:
         ep = eval_episodes[n]
-        final, _, _ = _algo_unroll(bundle, ep, eval_mode=True, neuron_perm=neuron_perm)
+        final, _, _ = _algo_unroll(bundle, ep, eval_mode=True)
         pred = np.argmax(final.data, axis=2)
         return float(np.all(pred == ep.final, axis=1).mean())
 
@@ -482,7 +483,6 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
         episode = algo_task.gen_algo_episode(cfg.batch_size, 2, rngs["data"])
         loss_targets = episode.states if cfg.loss_per_step else None
         final, step_losses, traces = _algo_unroll(bundle, episode, rngs=rngs,
-                                                  eval_mode=False, neuron_perm=neuron_perm,
                                                   loss_targets=loss_targets)
         if cfg.loss_per_step:
             loss = step_losses[0]
@@ -588,7 +588,7 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundl
                                    "sharpness": metrics["attention_sharpness"],
                                    "permutation_difference": metrics["permutation_difference"],
                                    "fairness": metrics["attention_fairness"],
-                                   **inspection.gate_summary(trace, flat=True)})
+                                   **inspection.gate_summary(trace)})
         checkpoint_metrics[step] = metrics
         writer.write({"record": "checkpoint", "step": step, **metrics})
         if results_prefix:
@@ -679,10 +679,7 @@ def run_trial(cfg: ExperimentConfig, mnist=None) -> dict:
     path = results_path(cfg.results_dir, cfg.experiment, h, cfg.seed)
     writer = MetricsWriter(path)
     started = time.time()
-    rngs = _spawn_rngs(cfg.seed)
-    # the image task draws its permutation set from the init stream before the model
-    pset = bpmnist_task.build_permutation_set(rngs["init"]) if cfg.experiment == "bpmnist" else None
-    bundle = build_model(cfg, rngs["init"])
+    rngs, pset, bundle = replay_init(cfg)
     fingerprint = code_fingerprint()
     header = {"record": "header", "config": cfg.to_dict(), "config_hash": h,
               "code_fingerprint": fingerprint, "numpy_version": np.__version__,

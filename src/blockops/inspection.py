@@ -94,10 +94,9 @@ def attention_fairness(trace: RoutingTrace) -> float:
     return float(1.0 - (mass.max() - mass.min()) / total)
 
 
-def permutation_difference(model, batches, layer: int = 0) -> float:
+def permutation_difference(model, batches) -> float:
     """Mean pairwise L2 distance between per-permutation mean activations
-    taken after routing layer ``layer``, the first by default (its
-    ``routed`` output).
+    taken after the first routing layer (its ``routed`` output).
 
     Each batch must hold one permutation group.  A model whose first layer
     exactly undoes the band permutation produces group-independent
@@ -108,7 +107,7 @@ def permutation_difference(model, batches, layer: int = 0) -> float:
     means = []
     for batch in batches:
         inputs = batch.inputs if hasattr(batch, "inputs") else np.asarray(batch)
-        data = extract_routing_trace(model, inputs).layers[layer]["routed"]
+        data = extract_routing_trace(model, inputs).layers[0]["routed"]
         means.append(data.mean(axis=0).reshape(-1))
     if len(means) == 1:
         return 0.0
@@ -119,25 +118,12 @@ def permutation_difference(model, batches, layer: int = 0) -> float:
     return float(np.mean(dists))
 
 
-def gate_summary(trace: RoutingTrace, flat: bool = False):
-    """Per-layer, per-output-block gate statistics over the batch."""
-    if flat:
-        out = {}
-        for i, layer in enumerate(trace.layers):
-            if "gates" in layer:
-                out[f"gate_mean_layer{i}"] = float(layer["gates"].mean())
-        return out
-    summary = []
-    for layer in trace.layers:
-        if "gates" not in layer:
-            summary.append(None)
-            continue
-        g = layer["gates"]
-        summary.append([{"mean": float(g[:, n].mean()),
-                         "min": float(g[:, n].min()),
-                         "max": float(g[:, n].max())}
-                        for n in range(g.shape[1])])
-    return summary
+def gate_summary(trace: RoutingTrace) -> dict:
+    """Mean gate value of each block-routing layer over the batch and its
+    output blocks, keyed ``gate_mean_layer<i>``; layers without gates (the
+    transformer's) have no key."""
+    return {f"gate_mean_layer{i}": float(layer["gates"].mean())
+            for i, layer in enumerate(trace.layers) if "gates" in layer}
 
 
 def write_indicator_csv(path: str, rows: list[dict]) -> None:

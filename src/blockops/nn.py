@@ -54,7 +54,6 @@ class FnnConfig:
     input_size: int
     output_size: int
     hidden_widths: list[int] = field(default_factory=list)
-    activation_slope: float = 0.01
 
     def validate(self):
         if self.input_size <= 0 or self.output_size <= 0:
@@ -127,7 +126,7 @@ class Fnn:
         for i, (w, b) in enumerate(self.layers):
             h = T.matmul(h, w) + b
             if i != last:
-                h = T.leaky_relu(h, self.cfg.activation_slope)
+                h = T.leaky_relu(h)
         return h
 
     def parameters(self):

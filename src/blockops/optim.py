@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = ["AdamState", "adam_step", "clip_global_norm", "global_grad_norm"]
 
 

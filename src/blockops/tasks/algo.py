@@ -22,15 +22,12 @@ __all__ = [
     "algo_apply_rule",
     "encode_algo_state",
     "gen_algo_episode",
-    "draw_neuron_permutation",
     "AlgoEpisode",
 ]
 
 NUM_VARS = 5
 NUM_RULES = 5
 BLOCK_SIZE = 10
-# 5 variable blocks + 1 rule indicator block, flattened
-INPUT_NEURONS = (NUM_VARS + 1) * BLOCK_SIZE
 
 
 def rule_slots(rule_id: int) -> list[int]:
@@ -54,33 +51,12 @@ def algo_apply_rule(variables, rule_id: int) -> np.ndarray:
     return out
 
 
-def encode_algo_state(variables, rule_ids, neuron_permutation=None) -> np.ndarray:
-    """Blocks [batch, 6, 10]: five digit blocks plus the rule indicator.
-
-    When a fixed neuron permutation is given it scrambles the flattened
-    60-value input, which is then reshaped back into blocks.
-    """
+def encode_algo_state(variables, rule_ids) -> np.ndarray:
+    """Blocks [batch, 6, 10]: five digit blocks plus the rule indicator."""
     v = np.asarray(variables, dtype=np.int64)
     blocks = [one_hot(v[:, i], BLOCK_SIZE) for i in range(NUM_VARS)]
     blocks.append(indicator_block(np.asarray(rule_ids, dtype=np.int64), NUM_RULES, BLOCK_SIZE))
-    out = np.stack(blocks, axis=1)
-    if neuron_permutation is not None:
-        perm = np.asarray(neuron_permutation)
-        if sorted(perm.tolist()) != list(range(INPUT_NEURONS)):
-            raise ValueError(f"neuron permutation must cover [0, {INPUT_NEURONS})")
-        flat = out.reshape(out.shape[0], INPUT_NEURONS)
-        out = flat[:, perm].reshape(out.shape)
-    return out
-
-
-def scramble_blocks(blocks, neuron_permutation) -> np.ndarray:
-    """Apply the fixed neuron permutation to already-encoded [batch, 6, 10]."""
-    flat = np.asarray(blocks).reshape(len(blocks), INPUT_NEURONS)
-    return flat[:, np.asarray(neuron_permutation)].reshape(len(blocks), NUM_VARS + 1, BLOCK_SIZE)
-
-
-def draw_neuron_permutation(rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(INPUT_NEURONS)
+    return np.stack(blocks, axis=1)
 
 
 @dataclass
@@ -89,7 +65,6 @@ class AlgoEpisode:
 
     states: np.ndarray
     rule_ids: np.ndarray
-    neuron_permutation: np.ndarray | None = None
 
     @property
     def initial(self) -> np.ndarray:
@@ -105,14 +80,13 @@ class AlgoEpisode:
 
     def step_batch(self, t: int) -> TaskBatch:
         """Teacher-forced batch for iteration t (ground-truth state in)."""
-        inputs = encode_algo_state(self.states[:, t], self.rule_ids[:, t],
-                                   self.neuron_permutation)
+        inputs = encode_algo_state(self.states[:, t], self.rule_ids[:, t])
         return TaskBatch(inputs, self.states[:, t + 1].astype(np.int64),
                          metadata={"rule": self.rule_ids[:, t]})
 
 
-def gen_algo_episode(batch_size: int, num_iterations: int, rng: np.random.Generator,
-                     neuron_permutation=None) -> AlgoEpisode:
+def gen_algo_episode(batch_size: int, num_iterations: int,
+                     rng: np.random.Generator) -> AlgoEpisode:
     if num_iterations < 1:
         raise ValueError(f"num_iterations must be >= 1, got {num_iterations}")
     if batch_size <= 0:
@@ -129,5 +103,4 @@ def gen_algo_episode(batch_size: int, num_iterations: int, rng: np.random.Genera
             if mask.any():
                 nxt[mask] = algo_apply_rule(cur[mask], rid)
         states[:, t + 1] = nxt
-    return AlgoEpisode(states, rule_ids,
-                       None if neuron_permutation is None else np.asarray(neuron_permutation))
+    return AlgoEpisode(states, rule_ids)

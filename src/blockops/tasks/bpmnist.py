@@ -27,9 +27,7 @@ __all__ = [
     "build_permutation_set",
     "balance_matrix",
     "image_to_bands",
-    "bands_to_image",
     "permute_bands",
-    "unpermute_blocks",
     "encode_bpmnist",
     "gen_bpmnist_train_batch",
     "bpmnist_eval_sets",
@@ -105,17 +103,9 @@ def image_to_bands(images: np.ndarray) -> np.ndarray:
     return images.reshape(n, NUM_BANDS, BLOCK_SIZE)
 
 
-def bands_to_image(bands: np.ndarray) -> np.ndarray:
-    return bands.reshape(bands.shape[0], 28, 28)
-
-
 def permute_bands(bands: np.ndarray, perm) -> np.ndarray:
     perm = np.asarray(perm)
     return bands[:, perm]
-
-
-def unpermute_blocks(blocks: np.ndarray, perm) -> np.ndarray:
-    return blocks[:, np.argsort(np.asarray(perm))]
 
 
 def encode_bpmnist(images: np.ndarray, perm_ids: np.ndarray, pset: PermutationSet,

@@ -32,13 +32,11 @@ __all__ = [
     "softmax",
     "gumbel_softmax_st",
     "cross_entropy_loss",
-    "mse_loss",
     "reshape",
     "transpose",
     "concat",
     "slice_axis",
     "sum_all",
-    "mean_all",
     "no_grad",
 ]
 
@@ -93,12 +91,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() requires a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self, params=None):
         """Reverse-mode pass from this scalar.
@@ -376,21 +368,6 @@ def cross_entropy_loss(logits: Tensor, target_index) -> Tensor:
     return _make(data, (logits,), backward)
 
 
-def mse_loss(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mse_loss shapes disagree: {a.data.shape} vs {b.data.shape}")
-    diff = a.data - b.data
-    n = diff.size
-    data = np.asarray((diff * diff).sum() / n, dtype=a.data.dtype)
-
-    def backward(g):
-        scaled = g * 2.0 * diff / n
-        _accumulate(a, scaled)
-        _accumulate(b, -scaled)
-
-    return _make(data, (a, b), backward)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     data = x.data.reshape(shape)
@@ -451,12 +428,3 @@ def sum_all(x: Tensor) -> Tensor:
 
     return _make(data, (x,), backward)
 
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    data = np.asarray(x.data.mean(), dtype=x.data.dtype)
-
-    def backward(g):
-        _accumulate(x, np.broadcast_to(g / n, x.data.shape).copy())
-
-    return _make(data, (x,), backward)

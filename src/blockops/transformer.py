@@ -11,7 +11,7 @@ attention layer, in forward order, the way ``Smfr`` returns its routing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class TransformerConfig:
     num_encoder_layers: int = 2
     num_decoder_layers: int = 2
     ffn_width: int = 128
-    activation_slope: float = 0.01
 
     def validate(self):
         if min(self.block_size, self.input_blocks, self.output_blocks, self.model_width,
@@ -94,14 +93,13 @@ class _Attention:
 
 
 class _Ffn:
-    def __init__(self, rng, width, hidden, slope, name):
+    def __init__(self, rng, width, hidden, name):
         self.l1 = _init_affine(rng, width, hidden)
         self.l2 = _init_affine(rng, hidden, width)
-        self.slope = slope
         self.name = name
 
     def forward(self, x: Tensor) -> Tensor:
-        h = T.leaky_relu(T.matmul(x, self.l1[0]) + self.l1[1], self.slope)
+        h = T.leaky_relu(T.matmul(x, self.l1[0]) + self.l1[1])
         return T.matmul(h, self.l2[0]) + self.l2[1]
 
     def parameters(self):
@@ -128,16 +126,14 @@ class Transformer:
         self.enc_ffn = []
         for i in range(cfg.num_encoder_layers):
             self.enc_attn.append(_Attention(rng, w, cfg.num_heads, f"{name}.enc{i}.attn"))
-            self.enc_ffn.append(_Ffn(rng, w, cfg.ffn_width, cfg.activation_slope,
-                                     f"{name}.enc{i}.ffn"))
+            self.enc_ffn.append(_Ffn(rng, w, cfg.ffn_width, f"{name}.enc{i}.ffn"))
         self.dec_self = []
         self.dec_cross = []
         self.dec_ffn = []
         for i in range(cfg.num_decoder_layers):
             self.dec_self.append(_Attention(rng, w, cfg.num_heads, f"{name}.dec{i}.self"))
             self.dec_cross.append(_Attention(rng, w, cfg.num_heads, f"{name}.dec{i}.cross"))
-            self.dec_ffn.append(_Ffn(rng, w, cfg.ffn_width, cfg.activation_slope,
-                                     f"{name}.dec{i}.ffn"))
+            self.dec_ffn.append(_Ffn(rng, w, cfg.ffn_width, f"{name}.dec{i}.ffn"))
 
     def forward(self, blocks: Tensor, rng=None, eval_mode=False):
         cfg = self.cfg

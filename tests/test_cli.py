@@ -8,9 +8,15 @@ import sys
 import numpy as np
 import pytest
 
+from blockops import inspection
 from blockops.cli import main
 from blockops.harness.config import ExperimentConfig, config_hash
 from blockops.harness.metrics import read_records, results_path
+from blockops.harness.training import build_model
+from blockops.checkpoint import load_checkpoint, restore_parameters
+from blockops.tasks import algo, bpmnist
+from blockops.tasks.mnist_io import load_mnist
+from test_mnist import write_synthetic_cache
 
 
 def write_config(tmp_path, **edits):
@@ -64,6 +70,12 @@ class TestRunCommand:
         assert main(["run", "--config", config]) == 2
         assert "experiment" in capsys.readouterr().err
 
+    def test_invalid_json_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"experiment": "algo",')
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -98,6 +110,18 @@ class TestGridCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"base": {}, "axes": {"bogus.key": [1]}}))
         assert main(["grid", "--spec", str(path)]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "grid spec root must be a JSON object"),
+        ('{"base": {}, "trials_per_cell": "3"}', "trials_per_cell: expected integer"),
+        ('{"base": {}, "seed_base": "0"}', "seed_base: expected integer"),
+        ('{"base": {}', "grid spec is not valid JSON"),
+    ], ids=["list-root", "string-trials", "string-seed-base", "invalid-json"])
+    def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["grid", "--spec", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_failed_trials_flagged(self, tmp_path, capsys):
         _, base = write_config(tmp_path)
@@ -156,6 +180,67 @@ class TestInspectCommand:
         assert 0.0 <= row["fairness"] <= 1.0
         assert not any(key.startswith("gate_") for key in row)
 
+    def test_noisy_permutation_probe_is_scrambled(self, tmp_path, capsys):
+        config, data = write_config(tmp_path, experiment="algo",
+                                    variants={"noisy_permutation": True})
+        assert main(["run", "--config", config]) == 0
+        capsys.readouterr()
+        cfg = ExperimentConfig.from_dict(data)
+        ckpt = os.path.join(cfg.results_dir, "algo", config_hash(cfg), "0_final.ckpt")
+        assert main(["inspect", "--checkpoint", ckpt, "--probe-seed", "3"]) == 0
+        (row,) = headlines(capsys)
+
+        # the trial's init stream: the network's parameters, then the permutation
+        init = np.random.default_rng(np.random.SeedSequence(0).spawn(5)[0])
+        plain = ExperimentConfig.from_dict(dict(data, variants={}))
+        bundle = build_model(plain, init)
+        perm = init.permutation(60)
+        restore_parameters(bundle.params, load_checkpoint(ckpt)[0])
+        probe = algo.gen_algo_episode(512, 1, np.random.default_rng(3)).step_batch(0).inputs
+        scrambled = probe.reshape(512, 60)[:, perm].reshape(512, 6, 10)
+        trace = inspection.extract_routing_trace(bundle.net, scrambled)
+        assert row["sharpness"] == inspection.attention_sharpness(trace)
+        assert row["fairness"] == inspection.attention_fairness(trace)
+        for key, value in inspection.gate_summary(trace).items():
+            assert row[key] == value
+
+    def test_bpmnist_probe_uses_the_trial_permutation_set(self, tmp_path, capsys,
+                                                          monkeypatch):
+        cache = tmp_path / "mnist"
+        cache.mkdir()
+        write_synthetic_cache(cache)
+        config, data = write_config(
+            tmp_path, experiment="bpmnist", seed=2, max_steps=2, eval_every=2,
+            data_dir=str(cache),
+            model={"kind": "smfr", "stack_width": 4, "stack_depth": 0, "fnn_hidden": [8]},
+            bpmnist={"scale": 1e-4, "eval_subset": 8, "probe_size": 8})
+        assert main(["run", "--config", config]) == 0
+        capsys.readouterr()
+        cfg = ExperimentConfig.from_dict(data)
+        ckpt = os.path.join(cfg.results_dir, "bpmnist", config_hash(cfg), "2_final.ckpt")
+
+        probes = []
+        trace = inspection.extract_routing_trace
+
+        def spy(model, inputs):
+            probes.append(inputs)
+            return trace(model, inputs)
+
+        monkeypatch.setattr(inspection, "extract_routing_trace", spy)
+        assert main(["inspect", "--checkpoint", ckpt]) == 0
+        (inputs,) = probes
+
+        # the set the trial drew first from its init stream
+        pset = bpmnist.build_permutation_set(
+            np.random.default_rng(np.random.SeedSequence(2).spawn(5)[0]))
+        mnist = load_mnist(str(cache))
+        images = bpmnist.image_to_bands(mnist["train_images"])
+        for row in inputs:
+            pid = int(np.argmax(row[4]))
+            bands = row[:4][np.argsort(pset.perms[pid])]
+            (match,) = np.flatnonzero((images == bands).all(axis=(1, 2)))
+            assert mnist["train_labels"][match] != pset.holdout.get(pid)
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         assert main(["inspect", "--checkpoint",
                      str(tmp_path / "nope.ckpt")]) == 1
@@ -178,6 +263,17 @@ class TestReportCommand:
         assert line["experiment"] == "doubleadd"
         assert os.path.exists(os.path.join(out, "doubleadd.csv"))
         assert os.path.exists(os.path.join(out, "summary.txt"))
+
+    def test_no_csv_is_named_when_no_trial_completed(self, tmp_path, capsys):
+        config, data = write_config(tmp_path, experiment="addmul", threshold=1.0,
+                                    max_steps=4)
+        assert main(["run", "--config", config]) == 1
+        capsys.readouterr()
+        out = str(tmp_path / "report")
+        assert main(["report", "--results", data["results_dir"], "--out", out]) == 0
+        (line,) = headlines(capsys)
+        assert line == {"experiment": "addmul", "out": None, "rows": 0}
+        assert not os.path.exists(os.path.join(out, "addmul.csv"))
 
     def test_no_results(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path / "empty"),

@@ -14,7 +14,7 @@ from blockops.nn import LayerTrace
 from blockops.checkpoint import load_checkpoint
 from blockops.harness.config import (
     ExperimentConfig, ConfigError, config_hash, parse_override,
-    apply_overrides, valid_override_keys,
+    apply_overrides, valid_override_keys, json_object,
 )
 from blockops.harness.metrics import MetricsWriter, read_records, results_path
 from blockops.harness.training import (
@@ -124,10 +124,11 @@ class TestConfigValidation:
             cfg.validate()
 
     def test_from_json_errors(self):
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            ExperimentConfig.from_json("{bad json")
-        with pytest.raises(ConfigError, match="root"):
-            ExperimentConfig.from_json("[1, 2]")
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            json_object("{bad json", "config")
+        with pytest.raises(ConfigError, match="grid spec root"):
+            json_object("[1, 2]", "grid spec")
+        assert json_object('{"seed": 3}', "config") == {"seed": 3}
 
     def test_round_trip_preserves_fields(self):
         cfg = ExperimentConfig(experiment="algo", seed=11, batch_size=32)
@@ -285,6 +286,55 @@ class TestEvalForward:
             assert np.array_equal(t.data, g.data)
 
 
+class TestNoisyPermutation:
+    @pytest.mark.parametrize("model", [
+        {"kind": "smfr", "stack_width": 2, "stack_depth": 1, "fnn_hidden": [8]},
+        {"kind": "fnn", "hidden_widths": [8]},
+        TINY_TRANSFORMER,
+    ], ids=["smfr", "fnn", "transformer"])
+    def test_forward_feeds_the_net_the_scrambled_inputs(self, model):
+        data = {"experiment": "algo", "model": model}
+        noisy = dict(data, variants={"noisy_permutation": True})
+        bundle = build_model(ExperimentConfig.from_dict(noisy), np.random.default_rng(0))
+        # drawn from the init stream right after the parameters
+        rng = np.random.default_rng(0)
+        build_model(ExperimentConfig.from_dict(data), rng)
+        perm = rng.permutation(60)
+        assert np.array_equal(bundle.permutation, perm)
+
+        inputs = np.random.default_rng(1).normal(size=(4, 6, 10))
+        out, _ = bundle.forward(inputs, eval_mode=True)
+        flat = inputs.reshape(4, 60)[:, perm]
+        if model["kind"] == "fnn":
+            want = bundle.net.forward(Tensor(flat)).data.reshape(4, 5, 10)
+        else:
+            want = bundle.net.forward(Tensor(flat.reshape(4, 6, 10)), eval_mode=True)[0].data
+        assert np.array_equal(out.data, want)
+
+    def test_trial_finishes_and_reruns_bit_identically(self, tmp_path):
+        def trial(name):
+            data = tiny_config(tmp_path, experiment="algo", max_steps=4, eval_every=2,
+                               results_dir=str(tmp_path / name))
+            data["variants"] = {"noisy_permutation": True}
+            cfg = ExperimentConfig.from_dict(data)
+            summary = run_trial(cfg)
+            path = results_path(cfg.results_dir, "algo", config_hash(cfg), 0)
+            records = read_records(path)
+            for record in records:
+                for key in ("wall_time_s", "train_ms_per_step", "eval_ms"):
+                    record.pop(key, None)
+                record.get("config", {}).pop("results_dir", None)
+            tensors, _ = load_checkpoint(path[:-len(".jsonl")] + "_final.ckpt")
+            return summary, records, tensors
+
+        (summary, records_a, tensors_a), (_, records_b, tensors_b) = trial("a"), trial("b")
+        assert summary["completed"] and summary["steps"] == 4
+        assert records_a == records_b
+        assert sorted(tensors_a) == sorted(tensors_b)
+        for name in tensors_a:
+            assert np.array_equal(tensors_a[name], tensors_b[name])
+
+
 def bias_trace(weights: np.ndarray) -> list:
     w = Tensor(np.asarray(weights, dtype=np.float64))
     zeros = Tensor(np.zeros(weights.shape[:1] + weights.shape[2:]))
@@ -356,14 +406,6 @@ class TestMetricsWriter:
         writer.write({"x": 1})
         writer.abort()
         assert os.listdir(tmp_path) == []
-
-    def test_records_property_snapshot(self, tmp_path):
-        writer = MetricsWriter(str(tmp_path / "0.jsonl"))
-        writer.write({"x": 1})
-        snapshot = writer.records
-        snapshot.append({"x": 2})
-        assert len(writer.records) == 1
-        writer.abort()
 
     def test_read_records_skips_blank_lines(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -600,6 +642,16 @@ class TestGrid:
     def test_bad_trials_per_cell(self):
         with pytest.raises(ConfigError, match="trials_per_cell"):
             GridSpec(trials_per_cell=0).validate()
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"trials_per_cell": "3"}, "trials_per_cell: expected integer"),
+        ({"trials_per_cell": True}, "trials_per_cell: expected integer"),
+        ({"seed_base": 1.5}, "seed_base: expected integer"),
+        ({"base": []}, "base: must be an object"),
+    ], ids=["string-trials", "bool-trials", "float-seed-base", "list-base"])
+    def test_mistyped_fields(self, edits, message):
+        with pytest.raises(ConfigError, match=message):
+            GridSpec(**edits).validate()
 
     def test_from_json_rejects_unknown_grid_key(self):
         with pytest.raises(ConfigError, match="spam"):

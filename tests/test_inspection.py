@@ -244,17 +244,14 @@ class TestGateSummary:
     def test_constant_gates(self):
         trace = RoutingTrace("smfr", [layer(np.full((4, 2, 3), 1 / 3),
                                             gates=np.full((4, 2), 0.5))])
-        summary = gate_summary(trace)
-        assert summary == [[{"mean": 0.5, "min": 0.5, "max": 0.5}] * 2]
+        assert gate_summary(trace) == {"gate_mean_layer0": 0.5}
 
     def test_saturated_pass_through_means_one(self):
         model = random_smfr(stack_width=2, output_blocks=1)
         force_copy_routing(model, [[0, 1], [0]])
         inputs = np.random.default_rng(21).normal(size=(4, 3, 4))
         trace = extract_routing_trace(model, inputs)
-        for per_layer in gate_summary(trace):
-            for block in per_layer:
-                assert block["mean"] == 1.0
+        assert gate_summary(trace) == {"gate_mean_layer0": 1.0, "gate_mean_layer1": 1.0}
 
     def test_concatenation_matches_weighted_mean(self):
         rng = np.random.default_rng(22)
@@ -265,15 +262,14 @@ class TestGateSummary:
         s2 = gate_summary(RoutingTrace("smfr", [layer(att, gates=g2)]))
         joined = gate_summary(RoutingTrace("smfr", [
             layer(np.concatenate([att, att]), gates=np.concatenate([g1, g2]))]))
-        for n in range(2):
-            expected = (s1[0][n]["mean"] + s2[0][n]["mean"]) / 2
-            assert joined[0][n]["mean"] == pytest.approx(expected)
+        expected = (s1["gate_mean_layer0"] + s2["gate_mean_layer0"]) / 2
+        assert joined["gate_mean_layer0"] == pytest.approx(expected)
 
     def test_flat_form_emits_per_layer_keys(self):
         model = random_smfr()
         inputs = np.random.default_rng(23).normal(size=(4, 3, 4))
         trace = extract_routing_trace(model, inputs)
-        flat = gate_summary(trace, flat=True)
+        flat = gate_summary(trace)
         assert set(flat) == {"gate_mean_layer0", "gate_mean_layer1"}
         for value in flat.values():
             assert 0.0 < value < 1.0
@@ -284,8 +280,7 @@ class TestGateSummary:
                                 num_decoder_layers=1, ffn_width=8)
         model = Transformer(cfg, np.random.default_rng(24))
         trace = extract_routing_trace(model, np.random.default_rng(25).normal(size=(2, 3, 4)))
-        assert gate_summary(trace) == [None, None]
-        assert gate_summary(trace, flat=True) == {}
+        assert gate_summary(trace) == {}
 
 
 class TestIndicatorCsv:

@@ -389,11 +389,11 @@ class TestSmfrGradients:
         model = Smfr(cfg, np.random.default_rng(0))
         params = model.parameters()
         x = np.random.default_rng(1).normal(size=(2, 2, 3))
-        target = np.random.default_rng(2).normal(size=(2, 1, 3))
+        w_out = np.random.default_rng(2).normal(size=(2, 1, 3))
 
         def loss_tensor():
             out, _ = model.forward(T.tensor(x))
-            return T.mse_loss(out, T.tensor(target))
+            return T.sum_all(T.mul(out, T.tensor(w_out)))
 
         loss = loss_tensor()
         loss.backward(params=params.values())

@@ -270,23 +270,6 @@ class TestCrossEntropy:
             T.cross_entropy_loss(T.tensor([0.0, 1.0]), [0])
 
 
-class TestMse:
-    def test_value(self):
-        loss = T.mse_loss(T.tensor([[1.0, 2.0]]), T.tensor([[3.0, 2.0]]))
-        assert loss.item() == pytest.approx(2.0)
-
-    def test_zero_at_equality(self):
-        x = np.random.default_rng(12).normal(size=(3, 3))
-        assert T.mse_loss(T.tensor(x), T.tensor(x.copy())).item() == 0.0
-
-    def test_gradient_both_sides(self):
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(2, 4))
-        b = rng.normal(size=(2, 4))
-        err = grad_check(lambda x, y: T.mse_loss(x, y), [a, b])
-        assert err < 1e-4
-
-
 class TestShapeOps:
     def test_reshape_round_trip_gradient(self):
         x = np.arange(12, dtype=np.float64).reshape(3, 4)
@@ -322,11 +305,6 @@ class TestBackwardPass:
         x = T.parameter(np.zeros((3, 2)))
         T.sum_all(x).backward(params=[x])
         assert np.array_equal(x.grad, np.ones((3, 2)))
-
-    def test_mean_all_gradient(self):
-        x = T.parameter(np.zeros(4))
-        T.mean_all(x).backward(params=[x])
-        assert np.allclose(x.grad, 0.25)
 
     def test_identity_path_gradient_is_one(self):
         x = T.parameter([3.0])

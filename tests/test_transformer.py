@@ -94,10 +94,10 @@ class TestTransformer:
         model = Transformer(tiny_config(), np.random.default_rng(10))
         params = model.parameters()
         x = np.random.default_rng(11).normal(size=(2, 2, 3))
-        target = np.random.default_rng(12).normal(size=(2, 1, 3))
+        w_out = np.random.default_rng(12).normal(size=(2, 1, 3))
 
         def loss_tensor():
-            return T.mse_loss(model.forward(T.tensor(x))[0], T.tensor(target))
+            return T.sum_all(T.mul(model.forward(T.tensor(x))[0], T.tensor(w_out)))
 
         loss_tensor().backward(params=params.values())
         h = 1e-5
