@@ -49,6 +49,9 @@ class GridSpec:
                                   + ", ".join(sorted(valid)))
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"axes.{key}: must be a non-empty list")
+        # every cell's config, its seed included, before trial seeds count up
+        for _, data in self.cells():
+            ExperimentConfig.from_dict(data).validate()
         return self
 
     @classmethod

@@ -184,27 +184,33 @@ def predictions(logits: Tensor) -> np.ndarray:
     return np.argmax(data, axis=1)[:, None]
 
 
+def rows_correct(predict_fn, batch: TaskBatch, chunk: int = 2500) -> np.ndarray:
+    """Per example of ``batch``, whether every target block was predicted
+    correctly."""
+    hits = []
+    for lo in range(0, batch.size, chunk):
+        hi = min(lo + chunk, batch.size)
+        pred = predict_fn(batch.inputs[lo:hi])
+        want = batch.targets[lo:hi]
+        if pred.shape != want.shape:
+            raise ValueError(f"prediction shape {pred.shape} vs target {want.shape}")
+        hits.append(np.all(pred == want, axis=1))
+    return np.concatenate(hits) if hits else np.zeros(0, dtype=bool)
+
+
+def accuracy(*hits: np.ndarray) -> float:
+    """Fraction of true entries over the ``hits`` arrays, from integer counts."""
+    total = sum(h.size for h in hits)
+    if total == 0:
+        raise ValueError("evaluation set is empty")
+    return sum(int(h.sum()) for h in hits) / total
+
+
 def evaluate_accuracy(predict_fn, batches, chunk: int = 2500) -> float:
     """Fraction of examples with every target block predicted correctly."""
     if isinstance(batches, TaskBatch):
         batches = [batches]
-    total = 0
-    correct = 0
-    for batch in batches:
-        n = batch.size
-        if n == 0:
-            continue
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            pred = predict_fn(batch.inputs[lo:hi])
-            want = batch.targets[lo:hi]
-            if pred.shape != want.shape:
-                raise ValueError(f"prediction shape {pred.shape} vs target {want.shape}")
-            correct += int(np.all(pred == want, axis=1).sum())
-            total += hi - lo
-    if total == 0:
-        raise ValueError("evaluation set is empty")
-    return correct / total
+    return accuracy(*(rows_correct(predict_fn, b, chunk) for b in batches))
 
 
 def make_predict(bundle: ModelBundle):
@@ -409,12 +415,9 @@ def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBun
     out_of_range = ood_set.metadata["out_of_range"]
     ood_splits = {
         # exactly one digit outside its trained range vs. the swapped quadrant
-        "ood_one_sided_accuracy": 1,
-        "ood_swapped_accuracy": 2,
+        "ood_one_sided_accuracy": out_of_range == 1,
+        "ood_swapped_accuracy": out_of_range == 2,
     }
-    split_sets = {name: TaskBatch(ood_set.inputs[out_of_range == k],
-                                  ood_set.targets[out_of_range == k])
-                  for name, k in ood_splits.items()}
 
     def batch_loss(step):
         batch = doubleadd_task.gen_doubleadd_batch(cfg.batch_size, rngs["data"], alt)
@@ -423,10 +426,14 @@ def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBun
 
     # the summary reports the last evaluation; zeros if there was none
     evals = [{"train_accuracy": 0.0, "ood_accuracy": 0.0}]
+    ood_hits = {}   # the last evaluation's per-row OOD hits, by its step
 
     def evaluate(step):
-        evals.append({"train_accuracy": evaluate_accuracy(predict, train_set),
-                      "ood_accuracy": evaluate_accuracy(predict, ood_set)})
+        train_accuracy = evaluate_accuracy(predict, train_set)
+        ood_hits.clear()
+        ood_hits[step] = rows_correct(predict, ood_set)
+        evals.append({"train_accuracy": train_accuracy,
+                      "ood_accuracy": accuracy(ood_hits[step])})
         return evals[-1]
 
     window = _Window(cfg.regularization.threshold)
@@ -439,8 +446,12 @@ def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBun
     summary = {"completed": True, "reason": None, "steps": step, **evals[-1],
                "ood_reached_one": bool(reached), "ood_never_dropped": never_dropped,
                **window.summary()}
-    for name, subset in split_sets.items():
-        summary[name] = evaluate_accuracy(predict, subset)
+    # an evaluation at the final step already holds every OOD row's hit
+    hits = ood_hits.get(step)
+    if hits is None:
+        hits = rows_correct(predict, ood_set)
+    for name, rows in ood_splits.items():
+        summary[name] = accuracy(hits[rows])
     return summary
 
 
@@ -472,12 +483,17 @@ def _algo_unroll(bundle: ModelBundle, episode, rngs=None, eval_mode=False,
 def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
              rngs) -> dict:
     eval_episodes = {n: algo_task.gen_algo_episode(500, n, rngs["eval"]) for n in range(1, 10)}
+    # accuracy by (step, iterations): the parameters are fixed within a step
+    # and an eval-mode unroll draws nothing, so each unroll runs once
+    accuracies = {}
 
-    def eval_iteration(n: int) -> float:
-        ep = eval_episodes[n]
-        final, _, _ = _algo_unroll(bundle, ep, eval_mode=True)
-        pred = np.argmax(final.data, axis=2)
-        return float(np.all(pred == ep.final, axis=1).mean())
+    def eval_iteration(step: int, n: int) -> float:
+        if (step, n) not in accuracies:
+            ep = eval_episodes[n]
+            final, _, _ = _algo_unroll(bundle, ep, eval_mode=True)
+            pred = np.argmax(final.data, axis=2)
+            accuracies[step, n] = float(np.all(pred == ep.final, axis=1).mean())
+        return accuracies[step, n]
 
     def batch_loss(step):
         episode = algo_task.gen_algo_episode(cfg.batch_size, 2, rngs["data"])
@@ -494,16 +510,17 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
         return loss, traces, None
 
     def evaluate(step):
-        fields = {"train_accuracy": eval_iteration(2), "accuracy_iter_4": eval_iteration(4)}
+        fields = {"train_accuracy": eval_iteration(step, 2),
+                  "accuracy_iter_4": eval_iteration(step, 4)}
         if step % cfg.full_eval_every == 0:
             for n in range(1, 10):
-                fields[f"accuracy_iter_{n}"] = eval_iteration(n)
+                fields[f"accuracy_iter_{n}"] = eval_iteration(step, n)
         return fields
 
     window = _Window(cfg.regularization.threshold)
     step, _ = _train(bundle, writer, window, batch_loss, evaluate, cfg.max_steps,
                      stop=_early_stop(cfg.early_stop_evals))
-    per_iter = {n: eval_iteration(n) for n in range(1, 10)}
+    per_iter = {n: eval_iteration(step, n) for n in range(1, 10)}
     ood_even = float(np.mean([per_iter[n] for n in (4, 6, 8)]))
     ood_odd = float(np.mean([per_iter[n] for n in (1, 3, 5, 7, 9)]))
     summary = {"completed": True, "reason": None, "steps": step,

@@ -121,10 +121,12 @@ class Fnn:
             self.layers.append(_init_affine(rng, fan_in, fan_out))
 
     def forward(self, x: Tensor) -> Tensor:
+        """[batch, input_size] to [batch, output_size]; one ``affine`` node
+        per layer."""
         h = x
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
-            h = T.matmul(h, w) + b
+            h = T.affine(h, w, b)
             if i != last:
                 h = T.leaky_relu(h)
         return h
@@ -300,9 +302,7 @@ def routing_regularization_loss(traces, threshold: float = 20.0) -> Tensor:
         logit_tensors.append(tr.gate_logits)
     acc = None
     for t in logit_tensors:
-        target = Tensor(np.clip(t.data, -threshold, threshold))
-        diff = t - target
-        excess = T.sum_all(diff * diff)
+        excess = T.band_excess(t, threshold)
         acc = excess if acc is None else acc + excess
     return acc
 

@@ -8,10 +8,16 @@ __all__ = ["AdamState", "adam_step", "clip_global_norm", "global_grad_norm"]
 
 
 class AdamState:
-    """Per-parameter first/second moments plus shared hyperparameters.
+    """First and second moments plus shared hyperparameters.
 
-    Bias correction follows the standard formulation; ``step_count`` increases
-    by exactly one per :func:`adam_step`.
+    The parameters live in one flat array: construction copies each
+    parameter's values into it and rebinds the parameter's ``data`` to its
+    view of it, so one update covers every parameter.  Code that changes a
+    parameter afterwards writes into ``data`` in place (``p.data[...] =``);
+    rebinding ``data`` would cut the parameter off from its updates.  The
+    moments, a gradient buffer and two scratch buffers are flat arrays of
+    the same size.  Bias correction follows the standard formulation;
+    ``step_count`` increases by exactly one per :func:`adam_step`.
     """
 
     def __init__(self, params, learning_rate=3e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -21,30 +27,56 @@ class AdamState:
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
         self.step_count = 0
-        self.first_moment = [np.zeros_like(p.data) for p in self.params]
-        self.second_moment = [np.zeros_like(p.data) for p in self.params]
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
+        offsets = np.cumsum([0] + [p.data.size for p in self.params])
+        self.flat = np.empty(offsets[-1], dtypes.pop() if dtypes else np.float64)
+        self._grads = np.empty_like(self.flat)
+        self.first_moment = np.zeros_like(self.flat)
+        self.second_moment = np.zeros_like(self.flat)
+        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
+        self._grad_views = []
+        for p, lo, hi in zip(self.params, offsets[:-1], offsets[1:]):
+            view = self.flat[lo:hi].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._grad_views.append(self._grads[lo:hi].reshape(view.shape))
 
 
 def adam_step(state: AdamState) -> None:
     """One Adam update over the tracked parameters; grads are consumed.
 
-    Parameters whose grad is unset are treated as having zero gradient.
+    Parameters whose grad is unset are treated as having zero gradient.  The
+    update runs over the flat buffers, operation for operation in the order
+    of the per-parameter formula ``m = b1 m + (1 - b1) g``, ``v = b2 v +
+    (1 - b2) g^2``, ``p -= lr m_hat / (sqrt(v_hat) + eps)``.
     """
+    for p, view in zip(state.params, state._grad_views):
+        if p.grad is None:
+            view[...] = 0.0
+        else:
+            np.copyto(view, p.grad)
+        p.grad = None
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    correction1 = 1.0 - b1 ** t
-    correction2 = 1.0 - b2 ** t
-    for p, m, v in zip(state.params, state.first_moment, state.second_moment):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        p.grad = None
+    g, m, v = state._grads, state.first_moment, state.second_moment
+    step, denom = state._scratch
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=step)
+    m += step
+    v *= b2
+    np.multiply(g, g, out=step)
+    step *= 1.0 - b2
+    v += step
+    np.divide(m, 1.0 - b1 ** t, out=step)
+    step *= state.learning_rate
+    np.divide(v, 1.0 - b2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.epsilon
+    step /= denom
+    state.flat -= step
 
 
 def global_grad_norm(params) -> float:

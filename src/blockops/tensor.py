@@ -3,7 +3,7 @@
 Every value flowing through a model is a :class:`Tensor` wrapping a numpy
 array.  Operations record their parents and a backward closure; calling
 ``backward()`` on a scalar loss topologically sorts the recorded graph and
-accumulates gradients into every reachable tensor that requires them.
+accumulates gradients into every reachable leaf that requires them.
 Inside ``with no_grad():`` operations record nothing: their results are plain
 constant tensors, so an evaluation forward keeps no graph alive.
 
@@ -26,6 +26,7 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
+    "affine",
     "leaky_relu",
     "sigmoid",
     "log",
@@ -37,6 +38,7 @@ __all__ = [
     "concat",
     "slice_axis",
     "sum_all",
+    "band_excess",
     "no_grad",
 ]
 
@@ -95,10 +97,12 @@ class Tensor:
     def backward(self, params=None):
         """Reverse-mode pass from this scalar.
 
-        Gradients accumulate into ``grad`` of every tensor on the path that
-        requires them.  ``params``, when given, is an iterable of leaf tensors
-        that get an explicit zero gradient if the graph never reached them, so
-        optimizers can treat the whole parameter set uniformly.
+        Gradients accumulate into ``grad`` of every leaf on the path that
+        requires them.  An intermediate node's ``grad`` is dropped as soon as
+        its own backward has run, so after the pass only leaves hold one.
+        ``params``, when given, is an iterable of leaf tensors that get an
+        explicit zero gradient if the graph never reached them, so optimizers
+        can treat the whole parameter set uniformly.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss tensor")
@@ -121,6 +125,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
         if params is not None:
             for p in params:
                 if p.requires_grad and p.grad is None:
@@ -189,11 +194,32 @@ def _make(data, parents, backward_fn) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    """Add ``g`` into ``t.grad`` under the ownership rule.
+
+    Backward closures hand the same array to several operands (``add`` gives
+    ``g`` itself to both), so a gradient buffer may be shared.  A node's
+    first gradient is therefore adopted as it is, and later ones are added
+    out of place; a node never writes into a buffer it was handed.  Adoption
+    needs ``g`` to have the node's shape and dtype and both arrays to be
+    C-contiguous: a strided gradient would send later BLAS calls down
+    another path and change the bits.  A leaf owns its buffer, since clip
+    scales it in place: its first gradient is copied, later ones are added
+    in place.  Every buffer has the memory layout of ``t.data``.
+    """
     if not t.requires_grad:
         return
+    leaf = t._backward_fn is None
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        if (not leaf and g.shape == t.data.shape and g.dtype == t.data.dtype
+                and g.flags.c_contiguous and t.data.flags.c_contiguous):
+            t.grad = g
+        else:
+            t.grad = np.empty_like(t.data)
+            np.copyto(t.grad, g)
+    elif leaf:
+        t.grad += g
+    else:
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.data))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -255,6 +281,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 2-D ``x`` and ``w`` and a 1-D ``b``, as one node.
+
+    Forward and backward give the bits of ``add(matmul(x, w), b)``: the
+    product is formed first, the bias gradient is ``g`` summed over rows.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ValueError(f"affine expects [n, k] @ [k, m] + [m], got {x.data.shape} @ "
+                         f"{w.data.shape} + {b.data.shape}")
+    data = x.data @ w.data + b.data
+
+    def backward(g):
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g)
+
+    return _make(data, (x, w, b), backward)
+
+
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
@@ -268,13 +316,11 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Split by sign to avoid overflow in exp for large magnitudes.
+    # exp of minus the magnitude never overflows: 1/(1+e^-d) for d >= 0 and
+    # e^d/(1+e^d) below, each with the same bits as computing it alone
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(d))
+    out = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         _accumulate(x, g * out * (1.0 - out))
@@ -411,11 +457,9 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     data = x.data[sl]
 
     def backward(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[sl] += g
+        full = np.zeros_like(x.data)
+        full[sl] = g
+        _accumulate(x, full)
 
     return _make(data, (x,), backward)
 
@@ -428,3 +472,16 @@ def sum_all(x: Tensor) -> Tensor:
 
     return _make(data, (x,), backward)
 
+
+def band_excess(x: Tensor, threshold: float) -> Tensor:
+    """Sum over ``x`` of the squared distance to ``[-threshold, threshold]``,
+    as one node: the bits of ``sum_all(mul(diff, diff))`` with ``diff = x -
+    clip(x)``, whose backward adds ``g * diff`` twice."""
+    diff = x.data - np.clip(x.data, -threshold, threshold)
+    data = np.asarray((diff * diff).sum(), dtype=x.data.dtype)
+
+    def backward(g):
+        gd = g * diff
+        _accumulate(x, gd + gd)
+
+    return _make(data, (x,), backward)

@@ -183,6 +183,10 @@ def test_every_op_matches_finite_differences():
     away_from_kink = np.where(np.abs(a) < 0.05, a + 0.1, a)
     targets = np.array([3, 0, 6, 2, 5])
     logits5 = rng.normal(size=(5, 7))
+    bias5 = rng.normal(size=(5,))
+    # entries on both sides of the band and inside it, none near its edges
+    banded = np.array([[-2.0, -0.3, 0.1, 1.7], [0.9, -1.1, 0.2, -0.05],
+                       [2.5, 0.0, -0.7, 0.35]])
 
     w34 = rng.normal(size=(3, 4))
     w35 = rng.normal(size=(3, 5))
@@ -201,6 +205,8 @@ def test_every_op_matches_finite_differences():
         ("sub", lambda p, q: weighted(T.sub(p, q), w34), [a, b]),
         ("mul", lambda p, q: weighted(T.mul(p, q), w34), [a, b]),
         ("matmul", lambda p, q: weighted(T.matmul(p, q), w35), [m1, m2]),
+        ("affine", lambda p, q, r: weighted(T.affine(p, q, r), w35), [m1, m2, bias5]),
+        ("band_excess", lambda p: T.band_excess(p, 0.5), [banded]),
         ("leaky_relu", lambda p: weighted(T.leaky_relu(p, 0.01), w34), [away_from_kink]),
         ("sigmoid", lambda p: weighted(T.sigmoid(p), w34), [a]),
         ("log", lambda p: weighted(T.log(p), w34), [np.abs(a) + 0.5]),

@@ -116,7 +116,10 @@ class TestGridCommand:
         ('{"base": {}, "trials_per_cell": "3"}', "trials_per_cell: expected integer"),
         ('{"base": {}, "seed_base": "0"}', "seed_base: expected integer"),
         ('{"base": {}', "grid spec is not valid JSON"),
-    ], ids=["list-root", "string-trials", "string-seed-base", "invalid-json"])
+        ('{"base": {"seed": "3"}}', "seed: expected integer"),
+        ('{"base": {}, "axes": {"seed": [1.5]}}', "seed: expected integer"),
+    ], ids=["list-root", "string-trials", "string-seed-base", "invalid-json",
+            "string-base-seed", "float-axis-seed"])
     def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "spec.json"
         path.write_text(text)

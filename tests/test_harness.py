@@ -615,6 +615,39 @@ class TestRunTrial:
         assert ("permutation_difference" in summary["late"]) == routes
 
 
+def graph_nodes(root: Tensor) -> int:
+    """Nodes whose backward a pass from ``root`` runs."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._backward_fn is not None
+        stack.extend(node._parents)
+    return count
+
+
+class TestTrainingGraph:
+    def test_smfr_training_loss_node_count(self, tmp_path, monkeypatch):
+        # the benchmark's doubleadd SMFR model: each FNN layer is one affine
+        # node and each logit tensor's penalty one band_excess node, so
+        # splitting either again raises the count
+        counts = []
+        backward = Tensor.backward
+
+        def spy(loss, params=None):
+            counts.append(graph_nodes(loss))
+            return backward(loss, params)
+
+        monkeypatch.setattr(Tensor, "backward", spy)
+        data = tiny_config(tmp_path, batch_size=64, max_steps=1, eval_every=1,
+                           model={"kind": "smfr", "stack_width": 8, "stack_depth": 1,
+                                  "fnn_hidden": [100], "attention": "softmax"})
+        run_trial(ExperimentConfig.from_dict(data))
+        assert counts == [54]
+
+
 class TestGrid:
     def grid_data(self, tmp_path, **edits):
         data = {
@@ -652,6 +685,12 @@ class TestGrid:
     def test_mistyped_fields(self, edits, message):
         with pytest.raises(ConfigError, match=message):
             GridSpec(**edits).validate()
+
+    def test_every_cell_is_validated_before_any_trial(self):
+        # the second cell is invalid; nothing may run for the first
+        spec = GridSpec(base={"max_steps": 1}, axes={"batch_size": [8, -1]})
+        with pytest.raises(ConfigError, match="batch_size: must be positive"):
+            spec.validate()
 
     def test_from_json_rejects_unknown_grid_key(self):
         with pytest.raises(ConfigError, match="spam"):

@@ -59,6 +59,57 @@ class TestAdam:
         assert state.step_count == 2
 
 
+def reference_adam(values, grads, lr, b1, b2, eps):
+    """Adam one parameter at a time, as the textbook formula reads."""
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    for t, step_grads in enumerate(grads, start=1):
+        for p, mi, vi, g in zip(values, m, v2, step_grads):
+            g = g if g is not None else np.zeros_like(p)
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * (g * g)
+            m_hat = mi / (1.0 - b1 ** t)
+            v_hat = vi / (1.0 - b2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return values
+
+
+class TestFlatAdam:
+    def test_matches_per_parameter_reference_bitwise(self):
+        rng = np.random.default_rng(7)
+        shapes = [(3, 4), (4,), (), (5, 1, 2)]
+        values = [rng.normal(size=s) for s in shapes]
+        grads = [[None if rng.random() < 0.2 else rng.normal(scale=10.0 ** rng.integers(-6, 2),
+                                                             size=s)
+                  for s in shapes] for _ in range(50)]
+        params = [T.parameter(v.copy()) for v in values]
+        state = AdamState(params, learning_rate=1e-2, beta1=0.8, beta2=0.99, epsilon=1e-7)
+        for step_grads in grads:
+            for p, g in zip(params, step_grads):
+                p.grad = None if g is None else g.copy()
+            adam_step(state)
+            assert all(p.grad is None for p in params)
+        want = reference_adam([v.copy() for v in values], grads, 1e-2, 0.8, 0.99, 1e-7)
+        for p, w in zip(params, want):
+            assert p.data.shape == w.shape
+            assert p.data.tobytes() == w.tobytes()
+
+    def test_parameters_are_views_of_one_buffer(self):
+        a = make_param([[1.0, 2.0]])
+        b = make_param([3.0])
+        state = AdamState([a, b])
+        assert np.array_equal(state.flat, [1.0, 2.0, 3.0])
+        # an in-place write reaches the optimizer's buffer
+        b.data[...] = 5.0
+        assert state.flat[2] == 5.0
+
+    def test_rejects_mixed_dtypes(self):
+        with pytest.raises(ValueError, match="dtype"):
+            AdamState([make_param([1.0]), T.parameter(np.array([1.0], dtype=np.float32))])
+
+
 class TestGradClipping:
     def test_norm_is_global_over_parameters(self):
         a = make_param([0.0, 0.0], grad=[3.0, 0.0])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockops import tensor as T
+from blockops.optim import clip_global_norm
 from fdcheck import finite_difference, grad_check, relative_error
 
 
@@ -125,6 +126,17 @@ class TestSigmoid:
         x = np.array([0.1, -0.4, 0.9])
         err = grad_check(lambda t: T.sum_all(T.sigmoid(t)), [x], h=1e-6)
         assert err < 1e-6
+
+    def test_bits_match_the_sign_split_formula(self):
+        # reference: each sign computed alone on its own entries
+        d = np.concatenate([np.random.default_rng(2).normal(scale=30.0, size=500),
+                            [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308]])
+        want = np.empty_like(d)
+        pos = d >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+        ex = np.exp(d[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        assert T.sigmoid(T.tensor(d)).data.tobytes() == want.tobytes()
 
 
 class TestSoftmax:
@@ -359,3 +371,103 @@ class TestBackwardPass:
             y = y + 0.0
         T.sum_all(y).backward(params=[x])
         assert x.grad[0] == pytest.approx(1.0)
+
+
+class TestGradientOwnership:
+    def test_leaf_used_twice_owns_one_buffer(self):
+        x = T.parameter([3.0])
+        T.sum_all(T.add(x, x)).backward(params=[x])
+        assert x.grad[0] == 2.0
+        # a norm of 2 clipped to 0.1 scales the one buffer once
+        clip_global_norm([x], max_norm=0.1)
+        assert x.grad[0] == pytest.approx(0.1)
+
+    def test_leaves_given_one_gradient_get_separate_buffers(self):
+        a = T.parameter([1.0])
+        b = T.parameter([1.0])
+        T.sum_all(T.add(a, b)).backward(params=[a, b])
+        assert a.grad is not b.grad
+        clip_global_norm([a, b], max_norm=0.1)
+        assert a.grad[0] == pytest.approx(0.1 / np.sqrt(2.0))
+        assert b.grad[0] == pytest.approx(0.1 / np.sqrt(2.0))
+
+    def test_transposed_first_gradient_is_stored_c_contiguous(self):
+        rng = np.random.default_rng(3)
+        x = T.parameter(rng.normal(size=(2, 3)))
+        c = rng.normal(size=(3, 2))
+        y = T.mul(x, T.tensor(2.0))
+        seen = []
+        backward = y._backward_fn
+
+        def spy(g):
+            seen.append(g)
+            backward(g)
+
+        y._backward_fn = spy
+        T.sum_all(T.mul(T.transpose(y, (1, 0)), T.tensor(c))).backward(params=[x])
+        assert seen[0].flags.c_contiguous
+        assert np.array_equal(seen[0], c.T)
+        assert np.array_equal(x.grad, 2.0 * c.T)
+
+    def test_only_leaves_keep_a_grad_after_backward(self):
+        x = T.parameter(np.ones((2, 3)))
+        h = T.mul(x, x)
+        y = T.reshape(h, (3, 2))
+        loss = T.sum_all(y)
+        loss.backward(params=[x])
+        assert h.grad is None and y.grad is None and loss.grad is None
+        assert np.array_equal(x.grad, 2.0 * np.ones((2, 3)))
+
+    def test_slice_never_writes_into_a_shared_gradient(self):
+        # add hands one array to both u and v; v's own term puts v last in
+        # the backward order, so v reads that array only after the slice of
+        # u has run its backward, which must not have added into it
+        rng = np.random.default_rng(4)
+        p = T.parameter(rng.normal(size=(2, 3)))
+        q = T.parameter(rng.normal(size=(2, 3)))
+        c, c3 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        c2 = rng.normal(size=(2, 1))
+        u = T.mul(p, T.tensor(1.0))
+        v = T.mul(q, T.tensor(1.0))
+        both = T.sum_all(T.mul(T.add(u, v), T.tensor(c)))
+        sliced = T.sum_all(T.mul(T.slice_axis(u, 1, 0, 1), T.tensor(c2)))
+        alone = T.sum_all(T.mul(v, T.tensor(c3)))
+        T.add(T.add(both, sliced), alone).backward(params=[p, q])
+        want_p = c.copy()
+        want_p[:, :1] += c2
+        assert np.allclose(p.grad, want_p, rtol=0, atol=1e-15)
+        assert np.allclose(q.grad, c + c3, rtol=0, atol=1e-15)
+
+
+class TestFusedOps:
+    def test_affine_is_bitwise_matmul_then_add(self):
+        rng = np.random.default_rng(5)
+        arrays = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,))]
+        c = T.tensor(rng.normal(size=(6, 3)))
+        fused = [T.parameter(a.copy()) for a in arrays]
+        split = [T.parameter(a.copy()) for a in arrays]
+        out_f = T.affine(*fused)
+        out_s = T.add(T.matmul(split[0], split[1]), split[2])
+        assert out_f.data.tobytes() == out_s.data.tobytes()
+        T.sum_all(T.mul(out_f, c)).backward(params=fused)
+        T.sum_all(T.mul(out_s, c)).backward(params=split)
+        for f, s in zip(fused, split):
+            assert f.grad.tobytes() == s.grad.tobytes()
+
+    def test_affine_rejects_batched_input(self):
+        with pytest.raises(ValueError):
+            T.affine(T.tensor(np.ones((2, 3, 4))), T.tensor(np.ones((4, 5))),
+                     T.tensor(np.zeros(5)))
+
+    def test_band_excess_is_bitwise_the_composed_penalty(self):
+        x = np.random.default_rng(6).normal(scale=3.0, size=(4, 5))
+        fused = T.parameter(x.copy())
+        split = T.parameter(x.copy())
+        out_f = T.band_excess(fused, 2.0)
+        diff = T.sub(split, T.tensor(np.clip(x, -2.0, 2.0)))
+        out_s = T.sum_all(T.mul(diff, diff))
+        assert out_f.data.tobytes() == out_s.data.tobytes()
+        T.mul(out_f, T.tensor(0.7)).backward(params=[fused])
+        T.mul(out_s, T.tensor(0.7)).backward(params=[split])
+        assert fused.grad.tobytes() == split.grad.tobytes()
+        assert np.any(fused.grad != 0.0) and np.any(fused.grad == 0.0)
