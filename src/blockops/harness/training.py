@@ -184,7 +184,15 @@ def predictions(logits: Tensor) -> np.ndarray:
     return np.argmax(data, axis=1)[:, None]
 
 
-def rows_correct(predict_fn, batch: TaskBatch, chunk: int = 2500) -> np.ndarray:
+# Rows per evaluation forward, chosen by measurement so that a forward's
+# intermediates stay near the CPU cache.  No op mixes rows, but a 2-D
+# ``Fnn`` product over a chunk may take another BLAS kernel than over the
+# whole set and move the last bits of its logits (README, Evaluation).
+EVAL_CHUNK_ROWS = 512
+ALGO_EVAL_CHUNK_ROWS = 128
+
+
+def rows_correct(predict_fn, batch: TaskBatch, chunk: int = EVAL_CHUNK_ROWS) -> np.ndarray:
     """Per example of ``batch``, whether every target block was predicted
     correctly."""
     hits = []
@@ -206,7 +214,7 @@ def accuracy(*hits: np.ndarray) -> float:
     return sum(int(h.sum()) for h in hits) / total
 
 
-def evaluate_accuracy(predict_fn, batches, chunk: int = 2500) -> float:
+def evaluate_accuracy(predict_fn, batches, chunk: int = EVAL_CHUNK_ROWS) -> float:
     """Fraction of examples with every target block predicted correctly."""
     if isinstance(batches, TaskBatch):
         batches = [batches]
@@ -256,16 +264,27 @@ def _early_stop(needed: int):
     return stop
 
 
+class NonFiniteLoss(Exception):
+    """A step's total loss was NaN or infinite; ``step`` updates had run."""
+
+    def __init__(self, step: int):
+        super().__init__(f"non-finite loss at step {step + 1}")
+        self.step = step
+
+
 class _Window:
     """What a metrics record reports besides its task's evaluation: the
-    sampled routing logits against the penalty's band, and wall time.
+    sampled routing logits against the penalty's band, the gradient clip,
+    and wall time.
 
     Each step reads the batch's largest |logit|; the step is beyond the band
     when that exceeds the regularization threshold, whether or not the
     penalty is enabled.  Kept for the run: the peak, the count of steps
     beyond the band and the longest run of consecutive such steps; and per
     evaluation window: the window's peak and its count of steps beyond.
-    Models without routing traces leave these at zero.
+    Models without routing traces leave these at zero.  Per window, too:
+    the count of steps whose gradient the global-norm clip scaled down, and
+    the smallest scale it applied (1.0 when it never fired).
 
     A window starts when the previous record drains it (or when the
     accumulator is built) and its training ends where its evaluation starts;
@@ -282,10 +301,15 @@ class _Window:
         self._run = 0
         self._window_peak = 0.0
         self._window_beyond = 0
+        self._clipped = 0
+        self._min_clip_scale = 1.0
         self._start = time.perf_counter()
         self._step = 0
 
-    def update(self, traces) -> None:
+    def update(self, traces, clip_scale: float) -> None:
+        if clip_scale < 1.0:
+            self._clipped += 1
+            self._min_clip_scale = min(self._min_clip_scale, clip_scale)
         if not traces:
             return
         peak = max_abs_routing_logit(traces)
@@ -307,12 +331,16 @@ class _Window:
         fields = {"max_routing_logit": self.peak,
                   "window_max_routing_logit": self._window_peak,
                   "window_steps_beyond_band": self._window_beyond,
+                  "window_clipped_steps": self._clipped,
+                  "window_min_clip_scale": self._min_clip_scale,
                   "train_ms_per_step": round(
                       1e3 * (eval_start - self._start) / (step - self._step), 3),
                   "eval_ms": round(1e3 * (now - eval_start), 3)}
         self._start, self._step = now, step
         self._window_peak = 0.0
         self._window_beyond = 0
+        self._clipped = 0
+        self._min_clip_scale = 1.0
         return fields
 
     def summary(self) -> dict:
@@ -328,9 +356,10 @@ def _train(bundle: ModelBundle, writer: MetricsWriter, window: _Window, batch_lo
 
     A step takes ``batch_loss(step) -> (loss, traces, extra or None)``, adds
     the routing penalty and ``extra`` (the image task's routing bias), and
-    runs backward, clip and Adam.  The penalty and the window read the
-    Multiplexer and gate logits of the ``LayerTrace``s only; attention
-    traces carry no logits.  Every ``eval_every``-th step, counted from the
+    runs backward, clip and Adam; a total loss that is not finite raises
+    ``NonFiniteLoss`` before any of them runs.  The penalty and the window
+    read the Multiplexer and gate logits of the ``LayerTrace``s only;
+    attention traces carry no logits.  Every ``eval_every``-th step, counted from the
     start of the trial, and the last step when ``eval_last`` is set, writes
     a metrics record: the fields of ``evaluate(step)``, the step's loss and
     penalty, and the window's fields.  Training stops after a record whose
@@ -347,10 +376,12 @@ def _train(bundle: ModelBundle, writer: MetricsWriter, window: _Window, batch_lo
             total, reg_value = loss + reg, float(reg.data)
         if extra is not None:
             total = total + extra
+        if not np.isfinite(total.data):
+            raise NonFiniteLoss(step)
         total.backward(params=params)
-        clip_global_norm(params, cfg.clip_norm)
+        clip_scale = clip_global_norm(params, cfg.clip_norm)
         adam_step(bundle.opt)
-        window.update(routing)
+        window.update(routing, clip_scale)
         step += 1
         if step % cfg.eval_every == 0 or (eval_last and step == steps):
             eval_start = time.perf_counter()
@@ -480,6 +511,19 @@ def _algo_unroll(bundle: ModelBundle, episode, rngs=None, eval_mode=False,
     return state, losses, traces
 
 
+def algo_rows_correct(bundle: ModelBundle, episode,
+                      chunk: int = ALGO_EVAL_CHUNK_ROWS) -> np.ndarray:
+    """Per episode, whether an eval-mode unroll ends in the right state;
+    unrolled ``chunk`` episodes at a time."""
+    hits = []
+    for lo in range(0, len(episode.states), chunk):
+        part = algo_task.AlgoEpisode(episode.states[lo:lo + chunk],
+                                     episode.rule_ids[lo:lo + chunk])
+        final, _, _ = _algo_unroll(bundle, part, eval_mode=True)
+        hits.append(np.all(np.argmax(final.data, axis=2) == part.final, axis=1))
+    return np.concatenate(hits)
+
+
 def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
              rngs) -> dict:
     eval_episodes = {n: algo_task.gen_algo_episode(500, n, rngs["eval"]) for n in range(1, 10)}
@@ -489,10 +533,7 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
 
     def eval_iteration(step: int, n: int) -> float:
         if (step, n) not in accuracies:
-            ep = eval_episodes[n]
-            final, _, _ = _algo_unroll(bundle, ep, eval_mode=True)
-            pred = np.argmax(final.data, axis=2)
-            accuracies[step, n] = float(np.all(pred == ep.final, axis=1).mean())
+            accuracies[step, n] = float(algo_rows_correct(bundle, eval_episodes[n]).mean())
         return accuracies[step, n]
 
     def batch_loss(step):
@@ -689,7 +730,10 @@ def run_trial(cfg: ExperimentConfig, mnist=None) -> dict:
 
     The header and the final record carry the ``code_fingerprint`` of the
     sources that ran; the header also records the numpy version and the BLAS
-    thread settings.  Returns the final summary record (also the last line
+    thread settings.  A trial whose loss turns non-finite stops there and
+    ends in a final record with ``completed`` false, reason
+    ``non_finite_loss`` and the ``steps`` that ran before it, and writes no
+    final checkpoint.  Returns the final summary record (also the last line
     of the file)."""
     cfg.validate()
     h = config_hash(cfg)
@@ -710,11 +754,15 @@ def run_trial(cfg: ExperimentConfig, mnist=None) -> dict:
                                   results_prefix=prefix)
         else:
             summary = _RUNNERS[cfg.experiment](cfg, writer, bundle, rngs)
+        save_checkpoint(f"{prefix}_final.ckpt", bundle.params,
+                        {"config": cfg.to_dict(), "step": summary.get("steps")})
+    except NonFiniteLoss as stop:
+        # deterministic, so resume may take the record as final; parameters
+        # that gave a non-finite loss are not worth a checkpoint
+        summary = {"completed": False, "reason": "non_finite_loss", "steps": stop.step}
     except BaseException:
         writer.abort()
         raise
-    save_checkpoint(f"{prefix}_final.ckpt", bundle.params,
-                    {"config": cfg.to_dict(), "step": summary.get("steps")})
     summary = {"record": "final", "config_hash": h, "code_fingerprint": fingerprint,
                "seed": cfg.seed,
                "parameter_count": header["parameter_count"],

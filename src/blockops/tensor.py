@@ -226,8 +226,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -236,8 +238,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -246,8 +250,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -282,35 +288,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for a 2-D ``x`` and ``w`` and a 1-D ``b``, as one node.
+    """``x @ w + b`` for ``x`` of shape [..., k], a 2-D ``w`` and a 1-D ``b``,
+    as one node.
 
-    Forward and backward give the bits of ``add(matmul(x, w), b)``: the
-    product is formed first, the bias gradient is ``g`` summed over rows.
+    Forward and backward give the bits of ``add(matmul(x, w), b)``: the bias
+    is added in place to the fresh product, the bias gradient is ``g``
+    summed over every leading axis, and a batched ``x`` gets its weight
+    gradient as one 2-D product over the flattened leading axes.
     """
-    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
             or b.data.shape != w.data.shape[1:]):
-        raise ValueError(f"affine expects [n, k] @ [k, m] + [m], got {x.data.shape} @ "
+        raise ValueError(f"affine expects [..., k] @ [k, m] + [m], got {x.data.shape} @ "
                          f"{w.data.shape} + {b.data.shape}")
-    data = x.data @ w.data + b.data
+    data = x.data @ w.data
+    data += b.data
 
     def backward(g):
         _accumulate(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
         if w.requires_grad:
-            _accumulate(w, x.data.T @ g)
+            k, n = w.data.shape
+            _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n))
 
     return _make(data, (x, w, b), backward)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
+    # max(slope * x, x) is x where x >= 0 and slope * x below, -0 included,
+    # written into the one array the op allocates
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
-    factor = np.where(x.data >= 0, 1.0, slope)
-    data = x.data * factor
+    data = x.data * slope
+    np.maximum(data, x.data, out=data)
 
     def backward(g):
-        _accumulate(x, g * factor)
+        gx = g * slope
+        np.copyto(gx, g, where=x.data >= 0)
+        _accumulate(x, gx)
 
     return _make(data, (x,), backward)
 
@@ -338,9 +353,19 @@ def log(x: Tensor) -> Tensor:
 
 
 def _softmax_data(data: np.ndarray, axis: int) -> np.ndarray:
-    shifted = data - data.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
+    out = data - data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """``(g - sum(g * out)) * out`` along ``axis``, in one array."""
+    gx = g * out
+    inner = gx.sum(axis=axis, keepdims=True)
+    np.subtract(g, inner, out=gx)
+    gx *= out
+    return gx
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -349,8 +374,7 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     out = _softmax_data(x.data, axis)
 
     def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        _accumulate(x, (g - inner) * out)
+        _accumulate(x, _softmax_grad(g, out, axis))
 
     return _make(out, (x,), backward)
 
@@ -376,8 +400,9 @@ def gumbel_softmax_st(logits: Tensor, axis: int, temperature: float, rng: np.ran
     np.put_along_axis(hard, np.expand_dims(idx, axis), 1.0, axis=axis)
 
     def backward(g):
-        inner = (g * soft).sum(axis=axis, keepdims=True)
-        _accumulate(logits, (g - inner) * soft / temperature)
+        gx = _softmax_grad(g, soft, axis)
+        gx /= temperature
+        _accumulate(logits, gx)
 
     return _make(hard, (logits,), backward)
 

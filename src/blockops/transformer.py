@@ -75,14 +75,14 @@ class _Attention:
     def forward(self, queries: Tensor, keys_values: Tensor):
         batch, q_len, _ = queries.shape
         kv_len = keys_values.shape[1]
-        q = self._split(T.matmul(queries, self.wq[0]) + self.wq[1], batch, q_len)
-        k = self._split(T.matmul(keys_values, self.wk[0]) + self.wk[1], batch, kv_len)
-        v = self._split(T.matmul(keys_values, self.wv[0]) + self.wv[1], batch, kv_len)
+        q = self._split(T.affine(queries, *self.wq), batch, q_len)
+        k = self._split(T.affine(keys_values, *self.wk), batch, kv_len)
+        v = self._split(T.affine(keys_values, *self.wv), batch, kv_len)
         scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.head_dim))
         weights = T.softmax(scores, axis=3)
         mixed = T.matmul(weights, v)
         mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (batch, q_len, self.width))
-        return T.matmul(mixed, self.wo[0]) + self.wo[1], weights
+        return T.affine(mixed, *self.wo), weights
 
     def parameters(self):
         out = {}
@@ -99,8 +99,8 @@ class _Ffn:
         self.name = name
 
     def forward(self, x: Tensor) -> Tensor:
-        h = T.leaky_relu(T.matmul(x, self.l1[0]) + self.l1[1])
-        return T.matmul(h, self.l2[0]) + self.l2[1]
+        h = T.leaky_relu(T.affine(x, *self.l1))
+        return T.affine(h, *self.l2)
 
     def parameters(self):
         return {
@@ -141,7 +141,7 @@ class Transformer:
         if n != cfg.input_blocks or d != cfg.block_size:
             raise ValueError(
                 f"transformer expected [batch, {cfg.input_blocks}, {cfg.block_size}], got {blocks.shape}")
-        h = T.matmul(blocks, self.in_proj[0]) + self.in_proj[1]
+        h = T.affine(blocks, *self.in_proj)
         h = h + T.reshape(self.pos_embed, (1, cfg.input_blocks, cfg.model_width))
         traces = []
         for attn, ffn in zip(self.enc_attn, self.enc_ffn):
@@ -159,7 +159,7 @@ class Transformer:
             dec = dec + a
             traces.append(AttentionTrace("decoder_cross", w, dec))
             dec = dec + ffn.forward(dec)
-        return T.matmul(dec, self.out_proj[0]) + self.out_proj[1], traces
+        return T.affine(dec, *self.out_proj), traces
 
     def parameters(self):
         out = {

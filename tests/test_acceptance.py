@@ -195,6 +195,8 @@ def test_every_op_matches_finite_differences():
     w38 = rng.normal(size=(3, 8))
     w212 = rng.normal(size=(2, 12))
     w232 = rng.normal(size=(2, 3, 2))
+    # its own stream, so every earlier case keeps its draws
+    w235 = np.random.default_rng(2).normal(size=(2, 3, 5))
 
     def weighted(op_result, w):
         return T.sum_all(T.mul(op_result, T.tensor(w)))
@@ -206,6 +208,8 @@ def test_every_op_matches_finite_differences():
         ("mul", lambda p, q: weighted(T.mul(p, q), w34), [a, b]),
         ("matmul", lambda p, q: weighted(T.matmul(p, q), w35), [m1, m2]),
         ("affine", lambda p, q, r: weighted(T.affine(p, q, r), w35), [m1, m2, bias5]),
+        ("affine_batched", lambda p, q, r: weighted(T.affine(p, q, r), w235),
+         [x3, m2, bias5]),
         ("band_excess", lambda p: T.band_excess(p, 0.5), [banded]),
         ("leaky_relu", lambda p: weighted(T.leaky_relu(p, 0.01), w34), [away_from_kink]),
         ("sigmoid", lambda p: weighted(T.sigmoid(p), w34), [a]),

@@ -24,7 +24,9 @@ from blockops.harness import training
 from blockops.harness.grid import GridSpec, grid_search, size_bucket
 from blockops.harness import report as report_mod
 from blockops.tasks.batches import TaskBatch
+from blockops.tasks import algo as algo_task
 from blockops.tasks import bpmnist
+from blockops.tasks import doubleadd as doubleadd_task
 
 
 TINY_TRANSFORMER = {"kind": "transformer", "model_width": 8, "num_heads": 2,
@@ -284,6 +286,69 @@ class TestEvalForward:
         for t, g in zip(evaluated, recorded):
             assert not t.requires_grad and t._parents == ()
             assert np.array_equal(t.data, g.data)
+
+
+EVAL_MODELS = {
+    "fnn": {"kind": "fnn", "hidden_widths": [100, 100]},
+    "smfr_softmax": {"kind": "smfr", "stack_width": 8, "stack_depth": 1,
+                     "fnn_hidden": [100], "attention": "softmax"},
+    "smfr_gumbel_st": {"kind": "smfr", "stack_width": 5, "stack_depth": 1,
+                       "fnn_hidden": [50], "attention": "gumbel_st"},
+    "transformer": {"kind": "transformer", "model_width": 64, "num_heads": 4,
+                    "encoder_layers": 1, "decoder_layers": 1, "ffn_width": 128},
+}
+
+
+def assert_chunks_match_one_pass(model, chunked, one_pass):
+    """The Transformer runs each example's products as its own BLAS call, so
+    chunking keeps every bit.  A 2-D product (an ``Fnn`` layer) over M rows
+    may take a small-matrix kernel in a chunk and the large one over the
+    whole batch (OpenBLAS's AVX-512 build switches at M*N*K = 1e6); the two
+    round differently when N is not a multiple of 8, so there only the last
+    bits may move."""
+    if model["kind"] == "transformer":
+        assert np.array_equal(chunked, one_pass)
+    else:
+        np.testing.assert_allclose(chunked, one_pass, rtol=0, atol=1e-12)
+
+
+class TestChunkedEvaluation:
+    @pytest.mark.parametrize("model", list(EVAL_MODELS.values()), ids=list(EVAL_MODELS))
+    def test_doubleadd_rows_match_one_pass(self, model):
+        bundle = build_model(ExperimentConfig.from_dict({"model": model}),
+                             np.random.default_rng(0))
+        full = doubleadd_task.doubleadd_train_set()
+        batch = TaskBatch(full.inputs[::4][:1100], full.targets[::4][:1100])
+        logits = []
+
+        def predict(inputs):
+            out, _ = bundle.forward(inputs, eval_mode=True)
+            logits.append(bundle.logits(out).data)
+            return np.argmax(logits[-1], axis=2)
+        hits = training.rows_correct(predict, batch)
+        assert [len(chunk) for chunk in logits] == [512, 512, 76]
+        chunked = np.concatenate(logits)
+        assert np.array_equal(hits, training.rows_correct(predict, batch, chunk=batch.size))
+        assert_chunks_match_one_pass(model, chunked, logits[-1])
+
+    @pytest.mark.parametrize("model", list(EVAL_MODELS.values()), ids=list(EVAL_MODELS))
+    def test_algo_unrolls_match_one_pass(self, model, monkeypatch):
+        bundle = build_model(ExperimentConfig.from_dict({"experiment": "algo", "model": model}),
+                             np.random.default_rng(0))
+        episode = algo_task.gen_algo_episode(300, 3, np.random.default_rng(1))
+        one_pass, _, _ = training._algo_unroll(bundle, episode, eval_mode=True)
+        finals = []
+        unroll = training._algo_unroll
+
+        def spy(bundle, part, **kwargs):
+            finals.append(unroll(bundle, part, **kwargs)[0].data)
+            return finals[-1], [], []
+        monkeypatch.setattr(training, "_algo_unroll", spy)
+        hits = training.algo_rows_correct(bundle, episode)
+        assert [len(f) for f in finals] == [128, 128, 44]
+        assert np.array_equal(
+            hits, np.all(np.argmax(one_pass.data, axis=2) == episode.final, axis=1))
+        assert_chunks_match_one_pass(model, np.concatenate(finals), one_pass.data)
 
 
 class TestNoisyPermutation:
@@ -646,6 +711,118 @@ class TestTrainingGraph:
                                   "fnn_hidden": [100], "attention": "softmax"})
         run_trial(ExperimentConfig.from_dict(data))
         assert counts == [54]
+
+    def test_transformer_training_loss_node_count(self, tmp_path, monkeypatch):
+        # the benchmark's algo Transformer: each projection is one affine
+        # node, so splitting one into matmul and add raises the count
+        counts = []
+        backward = Tensor.backward
+
+        def spy(loss, params=None):
+            counts.append(graph_nodes(loss))
+            return backward(loss, params)
+
+        monkeypatch.setattr(Tensor, "backward", spy)
+        monkeypatch.setattr(training, "algo_rows_correct",
+                            lambda bundle, episode: np.zeros(1, dtype=bool))
+        data = tiny_config(tmp_path, experiment="algo", batch_size=64, max_steps=1,
+                           eval_every=1, model=EVAL_MODELS["transformer"])
+        run_trial(ExperimentConfig.from_dict(data))
+        assert counts == [139]
+
+
+def metrics_records(cfg):
+    path = results_path(cfg.results_dir, cfg.experiment, config_hash(cfg), cfg.seed)
+    return [r for r in read_records(path) if r["record"] == "metrics"]
+
+
+class TestClipRecord:
+    def test_window_counts_clipped_steps_and_their_smallest_scale(self, tmp_path,
+                                                                  monkeypatch):
+        scales = []
+        clip = training.clip_global_norm
+
+        def spy(params, max_norm):
+            scales.append(clip(params, max_norm))
+            return scales[-1]
+        monkeypatch.setattr(training, "clip_global_norm", spy)
+        cfg = ExperimentConfig.from_dict(tiny_config(tmp_path, max_steps=6, eval_every=3,
+                                                     clip_norm=0.05))
+        run_trial(cfg)
+        windows = metrics_records(cfg)
+        assert len(scales) == 6 and min(scales) < 1.0
+        for record, window in zip(windows, (scales[:3], scales[3:])):
+            assert record["window_clipped_steps"] == sum(s < 1.0 for s in window)
+            assert record["window_min_clip_scale"] == min(window)
+
+    def test_a_clip_that_never_fires_reads_one(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(tiny_config(tmp_path, clip_norm=1e9))
+        run_trial(cfg)
+        (record,) = metrics_records(cfg)
+        assert record["window_clipped_steps"] == 0
+        assert record["window_min_clip_scale"] == 1.0
+
+
+class TestNonFiniteLoss:
+    FNN = {"kind": "fnn", "hidden_widths": [8]}
+
+    def poison_after(self, monkeypatch, updates):
+        """Set one weight to NaN once ``updates`` Adam steps have run."""
+        def poison(bundle):
+            next(iter(bundle.params.values())).data[0, 0] = np.nan
+
+        replay, adam = training.replay_init, training.adam_step
+        calls = []
+
+        def poisoned_replay(cfg):
+            rngs, pset, bundle = replay(cfg)
+            if updates == 0:
+                poison(bundle)
+            return rngs, pset, bundle
+
+        def poisoned_adam(state):
+            adam(state)
+            calls.append(state)
+            if len(calls) == updates:
+                next(iter(state.params)).data[0, 0] = np.nan
+        monkeypatch.setattr(training, "replay_init", poisoned_replay)
+        monkeypatch.setattr(training, "adam_step", poisoned_adam)
+
+    @pytest.mark.parametrize("updates", [0, 5])
+    def test_trial_ends_in_a_failure_record(self, tmp_path, monkeypatch, updates):
+        self.poison_after(monkeypatch, updates)
+        cfg = ExperimentConfig.from_dict(tiny_config(tmp_path, model=self.FNN,
+                                                     max_steps=8, eval_every=2))
+        summary = run_trial(cfg)
+        assert summary["completed"] is False
+        assert summary["reason"] == "non_finite_loss"
+        assert summary["steps"] == updates
+        path = results_path(cfg.results_dir, "doubleadd", config_hash(cfg), 0)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert [r["record"] for r in records] == \
+            ["header"] + ["metrics"] * (updates // 2) + ["final"]
+        assert records[-1] == {**summary, "record": "final"}
+        assert not os.path.exists(path + ".part")
+        assert not os.path.exists(os.path.join(os.path.dirname(path), "0_final.ckpt"))
+
+    def test_resume_keeps_the_record_and_report_reads_it(self, tmp_path, monkeypatch):
+        self.poison_after(monkeypatch, 0)
+        spec = GridSpec.from_json(json.dumps({
+            "base": tiny_config(tmp_path, model=self.FNN), "axes": {},
+            "trials_per_cell": 1}))
+        first = grid_search(spec)
+        assert first[0]["reason"] == "non_finite_loss" and first[0]["error"] is None
+        assert [row["skipped"] for row in grid_search(spec)] == [True]
+        # beside a finished trial of the same cell, report counts only that one
+        monkeypatch.undo()
+        run_trial(ExperimentConfig.from_dict(tiny_config(tmp_path, model=self.FNN, seed=1)))
+        report = report_mod.write_report(str(tmp_path / "results"), str(tmp_path / "report"))
+        assert [(row["model"], row["n"]) for row in report["doubleadd"]] == [("fnn", 1)]
 
 
 class TestGrid:

@@ -454,10 +454,30 @@ class TestFusedOps:
         for f, s in zip(fused, split):
             assert f.grad.tobytes() == s.grad.tobytes()
 
-    def test_affine_rejects_batched_input(self):
+    @pytest.mark.parametrize("x_shape", [(3, 5, 4), (2, 3, 5, 4)], ids=["3d", "4d"])
+    def test_batched_affine_is_bitwise_matmul_then_add(self, x_shape):
+        rng = np.random.default_rng(7)
+        arrays = [rng.normal(size=x_shape), rng.normal(size=(4, 3)), rng.normal(size=(3,))]
+        c = T.tensor(rng.normal(size=x_shape[:-1] + (3,)))
+        fused = [T.parameter(a.copy()) for a in arrays]
+        split = [T.parameter(a.copy()) for a in arrays]
+        # x as an intermediate node too, so its gradient flows on
+        out_f = T.affine(T.mul(fused[0], T.tensor(1.5)), fused[1], fused[2])
+        out_s = T.add(T.matmul(T.mul(split[0], T.tensor(1.5)), split[1]), split[2])
+        assert out_f.data.tobytes() == out_s.data.tobytes()
+        T.sum_all(T.mul(out_f, c)).backward(params=fused)
+        T.sum_all(T.mul(out_s, c)).backward(params=split)
+        for f, s in zip(fused, split):
+            assert f.grad.tobytes() == s.grad.tobytes()
+
+    @pytest.mark.parametrize("shapes", [
+        ((4,), (4, 3), (3,)),        # 1-D input
+        ((2, 5, 4), (5, 3), (3,)),   # inner dimensions disagree
+        ((2, 5, 4), (4, 3), (1, 3)), # bias not 1-D
+    ], ids=["vector", "inner", "bias"])
+    def test_affine_rejects_mismatched_shapes(self, shapes):
         with pytest.raises(ValueError):
-            T.affine(T.tensor(np.ones((2, 3, 4))), T.tensor(np.ones((4, 5))),
-                     T.tensor(np.zeros(5)))
+            T.affine(*(T.tensor(np.ones(shape)) for shape in shapes))
 
     def test_band_excess_is_bitwise_the_composed_penalty(self):
         x = np.random.default_rng(6).normal(scale=3.0, size=(4, 5))
@@ -471,3 +491,80 @@ class TestFusedOps:
         T.mul(out_s, T.tensor(0.7)).backward(params=[split])
         assert fused.grad.tobytes() == split.grad.tobytes()
         assert np.any(fused.grad != 0.0) and np.any(fused.grad == 0.0)
+
+
+# values whose bits the one-allocation ops must keep: signed zeros,
+# infinities, NaN, subnormals and ordinary numbers of both signs
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+                    -2.2e-308, 1e-310, -1e-310, 1.0, -1.0, 3.5, -7.25, 1e300, -1e300])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestOneAllocationOps:
+    def grads(self):
+        rng = np.random.default_rng(3)
+        return np.concatenate([SPECIAL, rng.normal(size=SPECIAL.size)])
+
+    def test_leaky_relu_keeps_the_bits_of_the_factor_formula(self):
+        x = np.concatenate([SPECIAL, SPECIAL[::-1]])
+        g = self.grads()
+        for slope in (0.01, 0.3):
+            factor = np.where(x >= 0, 1.0, slope)
+            p = T.parameter(x.copy())
+            out = T.leaky_relu(p, slope)
+            assert np.array_equal(_bits(out.data), _bits(x * factor))
+            out._backward_fn(g.copy())
+            assert np.array_equal(_bits(p.grad), _bits(g * factor))
+
+    def test_softmax_keeps_the_bits_of_the_three_temporary_formula(self):
+        rng = np.random.default_rng(4)
+        rows = [SPECIAL[i:i + 4] for i in range(0, SPECIAL.size - 3)]
+        x = np.concatenate([np.stack(rows), rng.normal(scale=30.0, size=(6, 4))])
+        g = rng.normal(size=x.shape)
+        g[0] = SPECIAL[:4]
+        for axis in (0, 1):
+            with np.errstate(invalid="ignore", over="ignore"):
+                shifted = x - x.max(axis=axis, keepdims=True)
+                ex = np.exp(shifted)
+                want = ex / ex.sum(axis=axis, keepdims=True)
+                want_grad = (g - (g * want).sum(axis=axis, keepdims=True)) * want
+                p = T.parameter(x.copy())
+                out = T.softmax(p, axis)
+                out._backward_fn(g.copy())
+            assert np.array_equal(_bits(out.data), _bits(want))
+            assert np.array_equal(_bits(p.grad), _bits(want_grad))
+
+    def test_gumbel_backward_keeps_the_bits_of_the_soft_formula(self):
+        rng = np.random.default_rng(5)
+        logits = rng.normal(size=(6, 4))
+        g = rng.normal(size=(6, 4))
+        p = T.parameter(logits.copy())
+        out = T.gumbel_softmax_st(p, 1, 0.7, np.random.default_rng(9))
+        out._backward_fn(g.copy())
+        u = np.random.default_rng(9).random(size=logits.shape)
+        noise = -np.log(-np.log(u + 1e-20) + 1e-20)
+        perturbed = (logits + noise) / 0.7
+        ex = np.exp(perturbed - perturbed.max(axis=1, keepdims=True))
+        soft = ex / ex.sum(axis=1, keepdims=True)
+        want = (g - (g * soft).sum(axis=1, keepdims=True)) * soft / 0.7
+        assert np.array_equal(_bits(p.grad), _bits(want))
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("constant_first", [True, False], ids=["left", "right"])
+    def test_a_constant_operand_gets_no_gradient_formed(self, op, constant_first,
+                                                         monkeypatch):
+        rng = np.random.default_rng(6)
+        const = T.tensor(rng.normal(size=(3, 4)))
+        param = T.parameter(rng.normal(size=(3, 4)))
+        out = op(const, param) if constant_first else op(param, const)
+        formed = []
+        unbroadcast = T._unbroadcast
+        monkeypatch.setattr(T, "_unbroadcast",
+                            lambda g, shape: formed.append(shape) or unbroadcast(g, shape))
+        T.sum_all(out).backward(params=[param])
+        assert const.grad is None
+        assert param.grad is not None
+        assert formed == [(3, 4)]
