@@ -2,7 +2,9 @@
 
 A trial streams records into ``<seed>.jsonl.part`` and renames it to
 ``<seed>.jsonl`` on completion, so the presence of the final name marks a
-finished trial for resumable sweeps.
+finished trial for resumable sweeps.  A trial that crashes or is
+interrupted keeps its ``.part``, ending in an ``aborted`` record; a resumed
+sweep runs it again, and reopening the ``.part`` truncates it.
 """
 
 from __future__ import annotations
@@ -32,10 +34,16 @@ class MetricsWriter:
         self._fh.close()
         os.replace(self._part, self.path)
 
-    def abort(self) -> None:
-        self._fh.close()
-        if os.path.exists(self._part):
-            os.unlink(self._part)
+    def abort(self, error: BaseException) -> None:
+        """Close the ``.part`` with a record of what stopped the trial: reason
+        ``exception`` for an ``Exception``, ``interrupted`` for anything else
+        (``KeyboardInterrupt``, ``SystemExit``)."""
+        reason = "exception" if isinstance(error, Exception) else "interrupted"
+        try:
+            self.write({"record": "aborted", "reason": reason,
+                        "error": f"{type(error).__name__}: {error}"})
+        finally:
+            self._fh.close()
 
 
 def read_records(path: str) -> list[dict]:

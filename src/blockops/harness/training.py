@@ -733,22 +733,23 @@ def run_trial(cfg: ExperimentConfig, mnist=None) -> dict:
     thread settings.  A trial whose loss turns non-finite stops there and
     ends in a final record with ``completed`` false, reason
     ``non_finite_loss`` and the ``steps`` that ran before it, and writes no
-    final checkpoint.  Returns the final summary record (also the last line
-    of the file)."""
+    final checkpoint.  A trial that raises or is interrupted leaves only its
+    ``.part`` file, ending in an ``aborted`` record.  Returns the final
+    summary record (also the last line of the file)."""
     cfg.validate()
     h = config_hash(cfg)
     path = results_path(cfg.results_dir, cfg.experiment, h, cfg.seed)
     writer = MetricsWriter(path)
     started = time.time()
-    rngs, pset, bundle = replay_init(cfg)
-    fingerprint = code_fingerprint()
-    header = {"record": "header", "config": cfg.to_dict(), "config_hash": h,
-              "code_fingerprint": fingerprint, "numpy_version": np.__version__,
-              "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-              "parameter_count": bundle.num_parameters()}
-    writer.write(header)
-    prefix = os.path.join(os.path.dirname(path), str(cfg.seed))
     try:
+        rngs, pset, bundle = replay_init(cfg)
+        fingerprint = code_fingerprint()
+        header = {"record": "header", "config": cfg.to_dict(), "config_hash": h,
+                  "code_fingerprint": fingerprint, "numpy_version": np.__version__,
+                  "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+                  "parameter_count": bundle.num_parameters()}
+        writer.write(header)
+        prefix = os.path.join(os.path.dirname(path), str(cfg.seed))
         if cfg.experiment == "bpmnist":
             summary = run_bpmnist(cfg, writer, bundle, rngs, pset, mnist=mnist,
                                   results_prefix=prefix)
@@ -760,8 +761,8 @@ def run_trial(cfg: ExperimentConfig, mnist=None) -> dict:
         # deterministic, so resume may take the record as final; parameters
         # that gave a non-finite loss are not worth a checkpoint
         summary = {"completed": False, "reason": "non_finite_loss", "steps": stop.step}
-    except BaseException:
-        writer.abort()
+    except BaseException as error:
+        writer.abort(error)
         raise
     summary = {"record": "final", "config_hash": h, "code_fingerprint": fingerprint,
                "seed": cfg.seed,

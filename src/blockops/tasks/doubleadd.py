@@ -22,6 +22,13 @@ __all__ = [
 BLOCK_SIZE = 10
 NUM_TASKS = 2
 
+# lookup tables for sampled batches: a digit's block, a task's indicator
+# block and the limited second pairs of each split orientation
+_DIGIT_BLOCKS = np.eye(BLOCK_SIZE)
+_TASK_BLOCKS = indicator_block(np.arange(NUM_TASKS), NUM_TASKS, BLOCK_SIZE)
+_LIMITED_PAIRS = {split: np.asarray(limited_pairs(split), dtype=np.int64)
+                  for split in (False, True)}
+
 
 def encode_doubleadd(p1a, p1b, p2a, p2b, task_ids) -> np.ndarray:
     """Blocks [batch, 5, 10]: four digits then the task indicator."""
@@ -44,12 +51,16 @@ def gen_doubleadd_batch(batch_size: int, rng: np.random.Generator,
                         alternate_split: bool = False) -> TaskBatch:
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    lim = limited_pairs(alternate_split)
+    lim = _LIMITED_PAIRS[alternate_split]
     p1 = rng.integers(0, 10, size=(batch_size, 2))
-    p2 = np.asarray(lim, dtype=np.int64)[rng.integers(0, len(lim), size=batch_size)]
+    p2 = lim[rng.integers(0, len(lim), size=batch_size)]
     task = rng.integers(0, NUM_TASKS, size=batch_size)
-    rows = np.column_stack([p1, p2, task])
-    return _batch_from_rows(rows)
+    inputs = np.empty((batch_size, 5, BLOCK_SIZE))
+    inputs[:, 0:2] = _DIGIT_BLOCKS[p1]
+    inputs[:, 2:4] = _DIGIT_BLOCKS[p2]
+    inputs[:, 4] = _TASK_BLOCKS[task]
+    sums = np.where(task == 0, p1.sum(axis=1) % 10, p2.sum(axis=1) % 10)
+    return TaskBatch(inputs, sums[:, None], metadata={"task": task, "p2": p2})
 
 
 def doubleadd_train_set(alternate_split: bool = False) -> TaskBatch:

@@ -47,7 +47,10 @@ class TransformerConfig:
 
 @dataclass
 class AttentionTrace:
-    """Attention of one layer, kept on the autodiff graph like ``LayerTrace``."""
+    """Attention of one layer, kept on the autodiff graph like ``LayerTrace``.
+
+    The first ``decoder_self`` layer has batch 1: every example shares its
+    queries."""
 
     stage: str        # "encoder", "decoder_self" or "decoder_cross"
     weights: Tensor   # [batch, heads, queries, keys]
@@ -73,14 +76,17 @@ class _Attention:
         return T.transpose(x, (0, 2, 1, 3))
 
     def forward(self, queries: Tensor, keys_values: Tensor):
-        batch, q_len, _ = queries.shape
-        kv_len = keys_values.shape[1]
-        q = self._split(T.affine(queries, *self.wq), batch, q_len)
-        k = self._split(T.affine(keys_values, *self.wk), batch, kv_len)
-        v = self._split(T.affine(keys_values, *self.wv), batch, kv_len)
+        # either side may have a leading batch of 1 that broadcasts over the
+        # other's, as the learned decoder queries do
+        q_batch, q_len, _ = queries.shape
+        kv_batch, kv_len, _ = keys_values.shape
+        q = self._split(T.affine(queries, *self.wq), q_batch, q_len)
+        k = self._split(T.affine(keys_values, *self.wk), kv_batch, kv_len)
+        v = self._split(T.affine(keys_values, *self.wv), kv_batch, kv_len)
         scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.head_dim))
         weights = T.softmax(scores, axis=3)
         mixed = T.matmul(weights, v)
+        batch = mixed.shape[0]
         mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (batch, q_len, self.width))
         return T.affine(mixed, *self.wo), weights
 
@@ -137,7 +143,7 @@ class Transformer:
 
     def forward(self, blocks: Tensor, rng=None, eval_mode=False):
         cfg = self.cfg
-        batch, n, d = blocks.shape
+        _, n, d = blocks.shape
         if n != cfg.input_blocks or d != cfg.block_size:
             raise ValueError(
                 f"transformer expected [batch, {cfg.input_blocks}, {cfg.block_size}], got {blocks.shape}")
@@ -149,8 +155,10 @@ class Transformer:
             h = h + a
             traces.append(AttentionTrace("encoder", w, h))
             h = h + ffn.forward(h)
-        ones = Tensor(np.ones((batch, 1, 1), dtype=h.data.dtype))
-        dec = ones * T.reshape(self.queries, (1, cfg.output_blocks, cfg.model_width))
+        # the queries are the same for every example, so the first decoder
+        # self-attention runs once on [1, N, w]; the cross-attention and its
+        # residual add broadcast the stream to the batch
+        dec = T.reshape(self.queries, (1, cfg.output_blocks, cfg.model_width))
         for attn_s, attn_c, ffn in zip(self.dec_self, self.dec_cross, self.dec_ffn):
             a, w = attn_s.forward(dec, dec)
             dec = dec + a

@@ -465,12 +465,19 @@ class TestMetricsWriter:
         assert not os.path.exists(path + ".part")
         assert [r["n"] for r in read_records(path)] == [1, 2]
 
-    def test_abort_removes_partial_file(self, tmp_path):
+    @pytest.mark.parametrize("error, reason", [
+        (ValueError("bad"), "exception"), (KeyboardInterrupt(), "interrupted")],
+        ids=["exception", "interrupt"])
+    def test_abort_keeps_partial_file_with_a_record(self, tmp_path, error, reason):
         path = str(tmp_path / "0.jsonl")
         writer = MetricsWriter(path)
         writer.write({"x": 1})
-        writer.abort()
-        assert os.listdir(tmp_path) == []
+        writer.abort(error)
+        assert os.listdir(tmp_path) == ["0.jsonl.part"]
+        assert read_records(path + ".part") == [
+            {"x": 1},
+            {"record": "aborted", "reason": reason,
+             "error": f"{type(error).__name__}: {error}"}]
 
     def test_read_records_skips_blank_lines(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -714,7 +721,9 @@ class TestTrainingGraph:
 
     def test_transformer_training_loss_node_count(self, tmp_path, monkeypatch):
         # the benchmark's algo Transformer: each projection is one affine
-        # node, so splitting one into matmul and add raises the count
+        # node, so splitting one into matmul and add raises the count, and
+        # the decoder starts from the shared queries, so tiling them to the
+        # batch adds a node per unrolled iteration
         counts = []
         backward = Tensor.backward
 
@@ -728,7 +737,7 @@ class TestTrainingGraph:
         data = tiny_config(tmp_path, experiment="algo", batch_size=64, max_steps=1,
                            eval_every=1, model=EVAL_MODELS["transformer"])
         run_trial(ExperimentConfig.from_dict(data))
-        assert counts == [139]
+        assert counts == [137]
 
 
 def metrics_records(cfg):
@@ -825,6 +834,50 @@ class TestNonFiniteLoss:
         assert [(row["model"], row["n"]) for row in report["doubleadd"]] == [("fnn", 1)]
 
 
+class TestAbortedTrial:
+    FNN = {"kind": "fnn", "hidden_widths": [8]}
+
+    def stop_at_step(self, monkeypatch, error, step=3):
+        """Raise ``error`` from the forward pass of training step ``step``."""
+        forward = training.ModelBundle.forward
+        calls = []
+
+        def failing(bundle, inputs, rng=None, eval_mode=False):
+            if not eval_mode:
+                calls.append(1)
+                if len(calls) == step:
+                    raise error
+            return forward(bundle, inputs, rng=rng, eval_mode=eval_mode)
+        monkeypatch.setattr(training.ModelBundle, "forward", failing)
+
+    @pytest.mark.parametrize("error, reason", [
+        (RuntimeError("boom"), "exception"), (KeyboardInterrupt(), "interrupted")],
+        ids=["exception", "interrupt"])
+    def test_trial_keeps_its_records_and_resume_reruns_it(self, tmp_path, monkeypatch,
+                                                          error, reason):
+        self.stop_at_step(monkeypatch, error)
+        spec = GridSpec.from_json(json.dumps({
+            "base": tiny_config(tmp_path, model=self.FNN, max_steps=6, eval_every=1),
+            "axes": {}, "trials_per_cell": 1}))
+        cfg = ExperimentConfig.from_dict(spec.base)
+        path = results_path(cfg.results_dir, "doubleadd", config_hash(cfg), 0)
+        with pytest.raises(type(error)):
+            run_trial(cfg)
+        records = read_records(path + ".part")
+        assert [r["record"] for r in records] == ["header", "metrics", "metrics", "aborted"]
+        assert records[-1] == {"record": "aborted", "reason": reason,
+                               "error": f"{type(error).__name__}: {error}"}
+        assert not os.path.exists(path)
+        assert report_mod.load_results(cfg.results_dir) == []
+        # resume runs the trial again over the partial file
+        monkeypatch.undo()
+        (row,) = grid_search(spec)
+        assert not row["skipped"] and row["error"] is None and row["completed"]
+        assert not os.path.exists(path + ".part")
+        assert [r["record"] for r in read_records(path)] == \
+            ["header"] + ["metrics"] * 6 + ["final"]
+
+
 class TestGrid:
     def grid_data(self, tmp_path, **edits):
         data = {
@@ -918,10 +971,15 @@ class TestGrid:
         assert len(rows) == 2
         assert all(row["error"] for row in rows)
         assert all("Mnist" in row["error"] for row in rows)
-        # failed trials leave no finalized result behind
-        assert not any(name.endswith(".jsonl")
-                       for _, _, files in os.walk(tmp_path / "results")
-                       for name in files)
+        # failed trials leave no finalized result behind, only partial files
+        # that end in the error
+        parts = [os.path.join(root, name)
+                 for root, _, files in os.walk(tmp_path / "results") for name in files]
+        assert len(parts) == 2 and all(name.endswith(".jsonl.part") for name in parts)
+        for name, row in zip(sorted(parts), rows):
+            aborted = read_records(name)[-1]
+            assert aborted == {"record": "aborted", "reason": "exception",
+                               "error": row["error"]}
 
     def test_size_buckets(self):
         assert size_bucket(49_999) == "LOW"

@@ -178,6 +178,25 @@ class TestDoubleadd:
         expected = np.where(task == 0, (p1a + p1b) % 10, (p2a + p2b) % 10)
         assert np.array_equal(batch.targets[:, 0], expected)
 
+    @pytest.mark.parametrize("alternate_split", [False, True])
+    def test_sampled_batch_is_the_encoding_of_its_draws(self, alternate_split):
+        # the batch is built from lookup tables; it must equal the row encoder
+        # applied to the same three draws, taken in the same order
+        rng = np.random.default_rng(4)
+        batch = gen_doubleadd_batch(300, rng, alternate_split=alternate_split)
+        replay = np.random.default_rng(4)
+        p1 = replay.integers(0, 10, size=(300, 2))
+        lim = np.asarray(limited_pairs(alternate_split))
+        p2 = lim[replay.integers(0, len(lim), size=300)]
+        task = replay.integers(0, 2, size=300)
+        assert replay.bit_generator.state == rng.bit_generator.state
+        assert np.array_equal(batch.inputs,
+                              encode_doubleadd(p1[:, 0], p1[:, 1], p2[:, 0], p2[:, 1], task))
+        assert batch.inputs.dtype == np.float64 and batch.inputs.flags.c_contiguous
+        assert batch.targets.dtype == np.int64 and batch.targets.shape == (300, 1)
+        assert np.array_equal(batch.metadata["task"], task)
+        assert np.array_equal(batch.metadata["p2"], p2)
+
     def test_second_pair_stays_limited_in_training(self):
         allowed = set(limited_pairs())
         batch = gen_doubleadd_batch(5000, np.random.default_rng(3))

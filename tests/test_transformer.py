@@ -70,8 +70,12 @@ class TestTransformer:
         captured = {stage: [tr.weights.data for tr in traces if tr.stage == stage]
                     for stage in ("encoder", "decoder_self", "decoder_cross")}
         assert captured["encoder"][0].shape == (5, cfg.num_heads, 4, 4)
-        assert captured["decoder_self"][0].shape == (5, cfg.num_heads, 2, 2)
-        assert captured["decoder_cross"][0].shape == (5, cfg.num_heads, 2, 4)
+        # the first decoder layer's queries are shared by every example, so
+        # its self-attention runs once; the cross-attention brings in the batch
+        assert captured["decoder_self"][0].shape == (1, cfg.num_heads, 2, 2)
+        assert [w.shape for w in captured["decoder_self"][1:]] == \
+            [(5, cfg.num_heads, 2, 2)] * 2
+        assert all(w.shape == (5, cfg.num_heads, 2, 4) for w in captured["decoder_cross"])
         for group in captured.values():
             for w in group:
                 assert np.allclose(w.sum(axis=3), 1.0, atol=1e-9)
@@ -117,3 +121,69 @@ class TestTransformer:
             scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
             worst = max(worst, np.abs(analytic - numeric).max() / scale)
         assert worst < 1e-3
+
+
+# 1+1 layers as in the algo benchmark, and a deeper stack whose later decoder
+# layers carry the batch
+INVARIANCE_CONFIGS = {
+    "1+1": tiny_config(block_size=10, input_blocks=4, output_blocks=3, model_width=16,
+                       num_heads=4, ffn_width=24),
+    "2+3": tiny_config(block_size=10, input_blocks=4, output_blocks=3, model_width=16,
+                       num_heads=4, ffn_width=24, num_encoder_layers=2,
+                       num_decoder_layers=3),
+}
+
+
+@pytest.mark.parametrize("layers", sorted(INVARIANCE_CONFIGS))
+class TestBatchInvariance:
+    def setup_method(self):
+        self.x = np.random.default_rng(21).normal(size=(6, 4, 10))
+
+    def test_each_row_matches_its_single_row_forward(self, layers):
+        model = Transformer(INVARIANCE_CONFIGS[layers], np.random.default_rng(20))
+        batched, _ = model.forward(T.tensor(self.x))
+        for i in range(len(self.x)):
+            single, _ = model.forward(T.tensor(self.x[i:i + 1]))
+            assert np.array_equal(batched.data[i:i + 1], single.data)
+
+    def test_batch_gradients_are_the_sum_of_row_gradients(self, layers):
+        model = Transformer(INVARIANCE_CONFIGS[layers], np.random.default_rng(20))
+        params = model.parameters()
+        w_out = np.random.default_rng(22).normal(size=(6, 3, 10))
+
+        def grads(rows):
+            for p in params.values():
+                p.grad = None
+            out, _ = model.forward(T.tensor(self.x[rows]))
+            T.sum_all(T.mul(out, T.tensor(w_out[rows]))).backward(params=params.values())
+            return {name: p.grad.copy() for name, p in params.items()}
+
+        batched = grads(slice(None))
+        rows = [grads(slice(i, i + 1)) for i in range(len(self.x))]
+        for name, g in batched.items():
+            np.testing.assert_allclose(g, sum(r[name] for r in rows), rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_first_decoder_self_attention_runs_once(self, layers, monkeypatch):
+        # the decoder queries are shared by every example: tiling them to the
+        # batch would run the first self-attention once per row
+        model = Transformer(INVARIANCE_CONFIGS[layers], np.random.default_rng(20))
+        leading = {}
+        affine = T.affine
+
+        def spy(x, w, b):
+            leading.setdefault(id(w), []).append(x.shape[0])
+            return affine(x, w, b)
+
+        monkeypatch.setattr(T, "affine", spy)
+        x = np.random.default_rng(23).normal(size=(64, 4, 10))
+        model.forward(T.tensor(x))
+
+        def dims(attn, tags="qkvo"):
+            return [leading[id(getattr(attn, f"w{tag}")[0])] for tag in tags]
+
+        assert dims(model.dec_self[0]) == [[1]] * 4
+        assert dims(model.dec_cross[0], "q") == [[1]]
+        assert dims(model.dec_cross[0], "kvo") == [[64]] * 3
+        for attn in model.dec_self[1:] + model.dec_cross[1:]:
+            assert dims(attn) == [[64]] * 4
