@@ -9,6 +9,7 @@ sweep runs it again, and reopening the ``.part`` truncates it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -37,14 +38,15 @@ class MetricsWriter:
     def abort(self, error: BaseException) -> None:
         """Close the ``.part`` with a record of what stopped the trial: reason
         ``exception`` for an ``Exception``, ``interrupted`` for anything else
-        (``KeyboardInterrupt``, ``SystemExit``)."""
+        (``KeyboardInterrupt``, ``SystemExit``).  The record is best effort:
+        a failure to write or close it (a full disk, say) is dropped, so the
+        caller re-raises the error that stopped the trial, not this one."""
         reason = "exception" if isinstance(error, Exception) else "interrupted"
-        try:
+        with contextlib.suppress(OSError):
             self.write({"record": "aborted", "reason": reason,
                         "error": f"{type(error).__name__}: {error}"})
-        finally:
+        with contextlib.suppress(OSError):
             self._fh.close()
-
 
 def read_records(path: str) -> list[dict]:
     records = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .batches import TaskBatch, one_hot, indicator_block
+from .batches import TaskBatch, indicator_block
 from .addmul import full_pairs, limited_pairs
 
 __all__ = [
@@ -22,29 +22,34 @@ __all__ = [
 BLOCK_SIZE = 10
 NUM_TASKS = 2
 
-# lookup tables for sampled batches: a digit's block, a task's indicator
-# block and the limited second pairs of each split orientation
+# lookup tables: a digit's block, a task's indicator block, and the limited
+# second pairs of each split orientation
 _DIGIT_BLOCKS = np.eye(BLOCK_SIZE)
 _TASK_BLOCKS = indicator_block(np.arange(NUM_TASKS), NUM_TASKS, BLOCK_SIZE)
 _LIMITED_PAIRS = {split: np.asarray(limited_pairs(split), dtype=np.int64)
                   for split in (False, True)}
 
 
-def encode_doubleadd(p1a, p1b, p2a, p2b, task_ids) -> np.ndarray:
-    """Blocks [batch, 5, 10]: four digits then the task indicator."""
-    mk = lambda v: one_hot(np.asarray(v, dtype=np.int64), BLOCK_SIZE)
-    blocks = [mk(p1a), mk(p1b), mk(p2a), mk(p2b),
-              indicator_block(np.asarray(task_ids, dtype=np.int64), NUM_TASKS, BLOCK_SIZE)]
-    return np.stack(blocks, axis=1)
+def encode_doubleadd(p1, p2, task_ids) -> np.ndarray:
+    """Blocks [batch, 5, 10] from digit pairs ``p1`` and ``p2`` ([batch, 2])
+    and task ids: the four digits, then the task indicator."""
+    task_ids = np.asarray(task_ids, dtype=np.int64)
+    inputs = np.empty((len(task_ids), 5, BLOCK_SIZE))
+    inputs[:, 0:2] = _DIGIT_BLOCKS[np.asarray(p1, dtype=np.int64)]
+    inputs[:, 2:4] = _DIGIT_BLOCKS[np.asarray(p2, dtype=np.int64)]
+    inputs[:, 4] = _TASK_BLOCKS[task_ids]
+    return inputs
+
+
+def _batch(p1, p2, task) -> TaskBatch:
+    sums = np.where(task == 0, p1.sum(axis=1) % 10, p2.sum(axis=1) % 10)
+    return TaskBatch(encode_doubleadd(p1, p2, task), sums[:, None],
+                     metadata={"task": task, "p2": p2})
 
 
 def _batch_from_rows(rows) -> TaskBatch:
     arr = np.asarray(rows, dtype=np.int64)
-    p1a, p1b, p2a, p2b, task = (arr[:, i] for i in range(5))
-    sums = np.where(task == 0, (p1a + p1b) % 10, (p2a + p2b) % 10)
-    return TaskBatch(encode_doubleadd(p1a, p1b, p2a, p2b, task),
-                     sums[:, None].astype(np.int64),
-                     metadata={"task": task, "p2": np.stack([p2a, p2b], axis=1)})
+    return _batch(arr[:, 0:2], arr[:, 2:4], arr[:, 4])
 
 
 def gen_doubleadd_batch(batch_size: int, rng: np.random.Generator,
@@ -55,12 +60,7 @@ def gen_doubleadd_batch(batch_size: int, rng: np.random.Generator,
     p1 = rng.integers(0, 10, size=(batch_size, 2))
     p2 = lim[rng.integers(0, len(lim), size=batch_size)]
     task = rng.integers(0, NUM_TASKS, size=batch_size)
-    inputs = np.empty((batch_size, 5, BLOCK_SIZE))
-    inputs[:, 0:2] = _DIGIT_BLOCKS[p1]
-    inputs[:, 2:4] = _DIGIT_BLOCKS[p2]
-    inputs[:, 4] = _TASK_BLOCKS[task]
-    sums = np.where(task == 0, p1.sum(axis=1) % 10, p2.sum(axis=1) % 10)
-    return TaskBatch(inputs, sums[:, None], metadata={"task": task, "p2": p2})
+    return _batch(p1, p2, task)
 
 
 def doubleadd_train_set(alternate_split: bool = False) -> TaskBatch:

@@ -1,5 +1,6 @@
 """Experiment harness: config schema, metrics files, trials, grids, reports."""
 
+import errno
 import json
 import os
 import shutil
@@ -876,6 +877,61 @@ class TestAbortedTrial:
         assert not os.path.exists(path + ".part")
         assert [r["record"] for r in read_records(path)] == \
             ["header"] + ["metrics"] * 6 + ["final"]
+
+
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyboardInterrupt()],
+                             ids=["exception", "interrupt"])
+    def test_full_disk_does_not_replace_the_error(self, tmp_path, monkeypatch, error):
+        # the disk fills up as the trial stops: writing the aborted record
+        # and closing the file both fail, and the sweep must still see the
+        # original error (an interrupt must stop it, not be caught as a
+        # failed trial)
+        self.stop_at_step(monkeypatch, error)
+        handles = []
+        write = MetricsWriter.write
+
+        def write_to_full_disk(writer, record):
+            if record["record"] == "aborted":
+                handles.append(writer._fh)
+                writer._fh = _FullDisk(writer._fh)
+            write(writer, record)
+        monkeypatch.setattr(MetricsWriter, "write", write_to_full_disk)
+        spec = GridSpec.from_json(json.dumps({
+            "base": tiny_config(tmp_path, model=self.FNN, max_steps=6, eval_every=1),
+            "axes": {}, "trials_per_cell": 1}))
+        if isinstance(error, Exception):
+            (row,) = grid_search(spec)
+            assert row["error"] == "RuntimeError: boom"
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                grid_search(spec)
+        (handle,) = handles
+        assert handle.closed
+        cfg = ExperimentConfig.from_dict(spec.base)
+        path = results_path(cfg.results_dir, "doubleadd", config_hash(cfg), 0)
+        assert [r["record"] for r in read_records(path + ".part")] == \
+            ["header", "metrics", "metrics"]
+        monkeypatch.undo()
+        (row,) = grid_search(spec)
+        assert row["completed"] and not os.path.exists(path + ".part")
+
+
+class _FullDisk:
+    """A file handle on a full disk: writes fail, and closing fails after
+    closing the file underneath."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self):
+        self._fh.close()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestGrid:
