@@ -9,6 +9,7 @@ tensor, so a reader can locate buffers without parsing them all.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -74,19 +75,28 @@ def load_checkpoint(path: str):
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
+        size = fh.read(8)
+        if len(size) != 8:
+            raise CheckpointError(f"{path}: truncated header length")
+        (header_len,) = struct.unpack("<Q", size)
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: unreadable header: {e}") from e
+        if not isinstance(header, dict) or not {"tensors", "config"} <= header.keys():
+            raise CheckpointError(f"{path}: header lacks 'tensors' or 'config'")
         base = fh.tell()
         tensors = {}
         for entry in header["tensors"]:
+            dtype, shape = np.dtype(entry["dtype"]), entry["shape"]
+            if dtype.itemsize * math.prod(shape) != entry["nbytes"]:
+                raise CheckpointError(f"{path}: {entry['name']} has {entry['nbytes']} bytes, "
+                                      f"not those of a {shape} {dtype} array")
             fh.seek(base + entry["offset"])
             raw = fh.read(entry["nbytes"])
             if len(raw) != entry["nbytes"]:
                 raise CheckpointError(f"{path}: truncated buffer for {entry['name']}")
-            arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"])
+            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
             tensors[entry["name"]] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
     return tensors, header["config"]
 

@@ -82,7 +82,7 @@ def _probe_inputs(cfg: ExperimentConfig, pset, seed: int, allow_download: bool) 
     if cfg.experiment == "doubleadd":
         return doubleadd.gen_doubleadd_batch(512, rng, cfg.variants.alternate_split).inputs
     if cfg.experiment == "algo":
-        return algo.gen_algo_episode(512, 1, rng).step_batch(0).inputs
+        return algo.gen_algo_episode(512, 1, rng).batch().inputs
     mnist = load_mnist(cfg.data_dir or None, allow_download=allow_download)
     return bpmnist.gen_bpmnist_train_batch(pset, mnist["train_images"],
                                            mnist["train_labels"], 512, rng,
@@ -110,9 +110,8 @@ def cmd_inspect(args) -> int:
 def cmd_report(args) -> int:
     report = report_mod.write_report(args.results, args.out)
     for experiment, table in report.items():
-        # write_report writes no CSV for a table without completed trials
         _headline({"experiment": experiment, "rows": len(table),
-                   "out": f"{args.out}/{experiment}.csv" if table else None})
+                   "out": f"{args.out}/{experiment}.csv"})
     return 0
 
 

@@ -55,46 +55,43 @@ def _mean_stderr(values) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / np.sqrt(len(arr)))
 
 
-def _addmul_report(rows):
-    """threshold x architecture means with the softmax/fnn ratio column."""
+def _groups(rows, key):
+    """Rows grouped by ``key(config)`` in key order, as (the group's completed
+    rows, its count of trials that did not complete)."""
     groups = {}
     for row in rows:
-        if not row.get("completed"):
-            continue
-        key = (row["config"]["threshold"], _model_label(row["config"]))
-        groups.setdefault(key, []).append(row["preparation_data_accuracy"])
-    table = []
-    thresholds = sorted({k[0] for k in groups})
-    for thr in thresholds:
-        entry = {"threshold": thr}
-        for (t, label), values in groups.items():
-            if t != thr:
-                continue
-            mean, err = _mean_stderr(values)
-            entry[label] = mean
-            entry[label + "_stderr"] = err
-            entry[label + "_n"] = len(values)
+        done, incomplete = groups.setdefault(key(row["config"]), ([], []))
+        (done if row.get("completed") else incomplete).append(row)
+    return {k: (done, len(incomplete)) for k, (done, incomplete) in sorted(groups.items())}
+
+
+def _addmul_report(rows):
+    """threshold x architecture means with the softmax/fnn ratio column."""
+    table = {}
+    for (thr, label), (items, incomplete) in _groups(
+            rows, lambda c: (c["threshold"], _model_label(c))).items():
+        entry = table.setdefault(thr, {"threshold": thr})
+        entry[label + "_n"] = len(items)
+        entry[label + "_n_incomplete"] = incomplete
+        if items:
+            entry[label], entry[label + "_stderr"] = _mean_stderr(
+                [r["preparation_data_accuracy"] for r in items])
+    for entry in table.values():
         if "smfr_softmax" in entry and entry.get("fnn"):
             entry["ratio_smfr_softmax_fnn"] = entry["smfr_softmax"] / entry["fnn"]
-        table.append(entry)
-    return table
+    return list(table.values())
 
 
 def _doubleadd_report(rows):
-    groups = {}
-    for row in rows:
-        if not row.get("completed"):
-            continue
-        groups.setdefault(_model_label(row["config"]), []).append(row)
     table = []
-    for label, items in sorted(groups.items()):
-        oods = [r["ood_accuracy"] for r in items]
-        mean, err = _mean_stderr(oods)
-        table.append({
-            "model": label, "n": len(items), "ood_mean": mean, "ood_stderr": err,
-            "fraction_at_one": float(np.mean([v >= 1.0 for v in oods])),
-            "never_dropped": all(r.get("ood_never_dropped", True) for r in items),
-        })
+    for label, (items, incomplete) in _groups(rows, _model_label).items():
+        entry = {"model": label, "n": len(items), "n_incomplete": incomplete}
+        if items:
+            oods = [r["ood_accuracy"] for r in items]
+            entry["ood_mean"], entry["ood_stderr"] = _mean_stderr(oods)
+            entry["fraction_at_one"] = float(np.mean([v >= 1.0 for v in oods]))
+            entry["never_dropped"] = all(r.get("ood_never_dropped", True) for r in items)
+        table.append(entry)
     return table
 
 
@@ -105,32 +102,23 @@ def _top5(items, key):
 
 
 def _algo_report(rows):
-    groups = {}
-    for row in rows:
-        if not row.get("completed"):
-            continue
-        groups.setdefault(_model_label(row["config"]), []).append(row)
     table = []
-    for label, items in sorted(groups.items()):
+    for label, (items, incomplete) in _groups(rows, _model_label).items():
         best = _top5(items, "validation_accuracy")
-        entry = {"model": label, "n": len(items), "top_n": len(best)}
-        for metric in ("ood_even", "ood_odd", "train_accuracy"):
-            mean, err = _mean_stderr([r[metric] for r in best])
-            entry[metric] = mean
-            entry[metric + "_stderr"] = err
+        entry = {"model": label, "n": len(items), "n_incomplete": incomplete,
+                 "top_n": len(best)}
+        if best:
+            for metric in ("ood_even", "ood_odd", "train_accuracy"):
+                entry[metric], entry[metric + "_stderr"] = _mean_stderr(
+                    [r[metric] for r in best])
         table.append(entry)
     return table
 
 
 def _bpmnist_report(rows):
-    groups = {}
-    for row in rows:
-        if not row.get("completed"):
-            continue
-        groups.setdefault(_model_label(row["config"]), []).append(row)
     table = []
-    for label, items in sorted(groups.items()):
-        entry = {"model": label, "n": len(items)}
+    for label, (items, incomplete) in _groups(rows, _model_label).items():
+        entry = {"model": label, "n": len(items), "n_incomplete": incomplete}
         for mark in ("early", "late"):
             for metric in ("validation_accuracy", "test_accuracy", "holdout_accuracy"):
                 values = [r[mark][metric] for r in items if r.get(mark, {}).get(metric) is not None]
@@ -167,10 +155,6 @@ def render_text(report: dict) -> str:
     lines = []
     for experiment, table in report.items():
         lines.append(f"== {experiment} ==")
-        if not table:
-            lines.append("(no completed trials)")
-            lines.append("")
-            continue
         columns = sorted({k for row in table for k in row},
                          key=lambda c: (c not in ("threshold", "model"), c))
         widths = {c: max(len(c), *(len(_format_value(r.get(c, ""))) for r in table))
@@ -190,8 +174,6 @@ def write_report(results_dir: str, out_dir: str) -> dict:
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(render_text(report))
     for experiment, table in report.items():
-        if not table:
-            continue
         columns = sorted({k for row in table for k in row},
                          key=lambda c: (c not in ("threshold", "model"), c))
         with open(os.path.join(out_dir, f"{experiment}.csv"), "w", newline="") as fh:

@@ -36,7 +36,7 @@ from ..nn import (
 from ..transformer import Transformer, TransformerConfig
 from ..optim import AdamState, adam_step, clip_global_norm
 from ..checkpoint import save_checkpoint
-from ..tasks.batches import TaskBatch, indicator_block
+from ..tasks.batches import TaskBatch
 from ..tasks import addmul as addmul_task
 from ..tasks import doubleadd as doubleadd_task
 from ..tasks import algo as algo_task
@@ -486,68 +486,50 @@ def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBun
     return summary
 
 
-def _algo_unroll(bundle: ModelBundle, episode, rngs=None, eval_mode=False,
-                 loss_targets=None):
-    """Run the model recurrently over an episode: raw output blocks feed back
-    as the next state, the rule indicator is replaced each iteration.
-    Returns (final blocks, per-step losses if requested, the traces of
-    every iteration in order)."""
-    from ..tasks.batches import one_hot
-
-    state = Tensor(np.stack([one_hot(episode.initial[:, i], algo_task.BLOCK_SIZE)
-                             for i in range(algo_task.NUM_VARS)], axis=1))
-    losses = []
-    traces = []
-    for t in range(episode.num_iterations):
-        ind = Tensor(indicator_block(episode.rule_ids[:, t], algo_task.NUM_RULES,
-                                     algo_task.BLOCK_SIZE)[:, None, :])
-        inputs = T.concat([state, ind], axis=1)
-        rng = None if eval_mode else (rngs["routing"] if rngs else None)
-        out, tr = bundle.forward(inputs, rng=rng, eval_mode=eval_mode)
+def _algo_unroll(bundle: ModelBundle, inputs: np.ndarray, rng=None, eval_mode=False):
+    """Run the model recurrently over encoded episodes [batch, 5 + T, d]:
+    each iteration sees the state and that iteration's rule block, and its
+    raw output blocks feed back as the next state.  Returns (the output
+    blocks of every iteration, the traces of every iteration in order)."""
+    n_vars = algo_task.NUM_VARS
+    state = Tensor(inputs[:, :n_vars])
+    outputs, traces = [], []
+    for t in range(inputs.shape[1] - n_vars):
+        rule = Tensor(inputs[:, n_vars + t:n_vars + t + 1])
+        state, tr = bundle.forward(T.concat([state, rule], axis=1), rng=rng,
+                                   eval_mode=eval_mode)
+        outputs.append(state)
         traces += tr
-        if loss_targets is not None:
-            losses.append(block_cross_entropy(out, loss_targets[:, t + 1]))
-        state = out
-    return state, losses, traces
-
-
-def algo_rows_correct(bundle: ModelBundle, episode,
-                      chunk: int = ALGO_EVAL_CHUNK_ROWS) -> np.ndarray:
-    """Per episode, whether an eval-mode unroll ends in the right state;
-    unrolled ``chunk`` episodes at a time."""
-    hits = []
-    for lo in range(0, len(episode.states), chunk):
-        part = algo_task.AlgoEpisode(episode.states[lo:lo + chunk],
-                                     episode.rule_ids[lo:lo + chunk])
-        final, _, _ = _algo_unroll(bundle, part, eval_mode=True)
-        hits.append(np.all(np.argmax(final.data, axis=2) == part.final, axis=1))
-    return np.concatenate(hits)
+    return outputs, traces
 
 
 def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
              rngs) -> dict:
+    # encoded only while evaluated: holding all nine encodings raises peak memory
     eval_episodes = {n: algo_task.gen_algo_episode(500, n, rngs["eval"]) for n in range(1, 10)}
     # accuracy by (step, iterations): the parameters are fixed within a step
     # and an eval-mode unroll draws nothing, so each unroll runs once
     accuracies = {}
 
+    def predict(inputs):
+        outputs, _ = _algo_unroll(bundle, inputs, eval_mode=True)
+        return predictions(outputs[-1])
+
     def eval_iteration(step: int, n: int) -> float:
         if (step, n) not in accuracies:
-            accuracies[step, n] = float(algo_rows_correct(bundle, eval_episodes[n]).mean())
+            accuracies[step, n] = evaluate_accuracy(predict, eval_episodes[n].batch(),
+                                                    ALGO_EVAL_CHUNK_ROWS)
         return accuracies[step, n]
 
     def batch_loss(step):
         episode = algo_task.gen_algo_episode(cfg.batch_size, 2, rngs["data"])
-        loss_targets = episode.states if cfg.loss_per_step else None
-        final, step_losses, traces = _algo_unroll(bundle, episode, rngs=rngs,
-                                                  loss_targets=loss_targets)
+        outputs, traces = _algo_unroll(bundle, episode.batch().inputs, rng=rngs["routing"])
         if cfg.loss_per_step:
-            loss = step_losses[0]
-            for extra in step_losses[1:]:
-                loss = loss + extra
-            loss = loss * (1.0 / len(step_losses))
+            losses = [block_cross_entropy(out, episode.states[:, t + 1])
+                      for t, out in enumerate(outputs)]
+            loss = sum(losses[1:], losses[0]) * (1.0 / len(losses))
         else:
-            loss = block_cross_entropy(final, episode.final)
+            loss = block_cross_entropy(outputs[-1], episode.final)
         return loss, traces, None
 
     def evaluate(step):

@@ -20,7 +20,7 @@ __all__ = [
     "NUM_RULES",
     "rule_slots",
     "algo_apply_rule",
-    "encode_algo_state",
+    "encode_algo_episode",
     "gen_algo_episode",
     "AlgoEpisode",
 ]
@@ -51,12 +51,14 @@ def algo_apply_rule(variables, rule_id: int) -> np.ndarray:
     return out
 
 
-def encode_algo_state(variables, rule_ids) -> np.ndarray:
-    """Blocks [batch, 6, 10]: five digit blocks plus the rule indicator."""
-    v = np.asarray(variables, dtype=np.int64)
-    blocks = [one_hot(v[:, i], BLOCK_SIZE) for i in range(NUM_VARS)]
-    blocks.append(indicator_block(np.asarray(rule_ids, dtype=np.int64), NUM_RULES, BLOCK_SIZE))
-    return np.stack(blocks, axis=1)
+def encode_algo_episode(initial, rule_ids) -> np.ndarray:
+    """Blocks [batch, 5 + T, 10] from initial states [batch, 5] and rule ids
+    [batch, T]: the five digit blocks, then one rule indicator per iteration."""
+    rule_ids = np.asarray(rule_ids)
+    inputs = np.empty((len(rule_ids), NUM_VARS + rule_ids.shape[1], BLOCK_SIZE))
+    inputs[:, :NUM_VARS] = one_hot(initial, BLOCK_SIZE)
+    inputs[:, NUM_VARS:] = indicator_block(rule_ids, NUM_RULES, BLOCK_SIZE)
+    return inputs
 
 
 @dataclass
@@ -78,11 +80,10 @@ class AlgoEpisode:
     def num_iterations(self) -> int:
         return self.rule_ids.shape[1]
 
-    def step_batch(self, t: int) -> TaskBatch:
-        """Teacher-forced batch for iteration t (ground-truth state in)."""
-        inputs = encode_algo_state(self.states[:, t], self.rule_ids[:, t])
-        return TaskBatch(inputs, self.states[:, t + 1].astype(np.int64),
-                         metadata={"rule": self.rule_ids[:, t]})
+    def batch(self) -> TaskBatch:
+        """The whole episode as one batch: its encoding in, the final state
+        as the target."""
+        return TaskBatch(encode_algo_episode(self.initial, self.rule_ids), self.final)
 
 
 def gen_algo_episode(batch_size: int, num_iterations: int,

@@ -30,20 +30,22 @@ class TaskBatch:
         return self.inputs.shape[0]
 
 
+def _identity_rows(values, num_valid: int, size: int, dtype) -> np.ndarray:
+    """Rows of the ``size`` identity picked by ``values``, each of which
+    must lie in [0, ``num_valid``)."""
+    values = np.asarray(values)
+    if values.size and (values.min() < 0 or values.max() >= num_valid):
+        raise ValueError(f"values out of range [0, {num_valid})")
+    return np.eye(size, dtype=dtype).take(values.astype(np.int64, copy=False), axis=0)
+
+
 def one_hot(values, num_classes: int, dtype=np.float64) -> np.ndarray:
     """One-hot encode an integer array along a trailing new axis."""
-    values = np.asarray(values)
-    if values.size and (values.min() < 0 or values.max() >= num_classes):
-        raise ValueError(f"values out of range [0, {num_classes})")
-    out = np.zeros(values.shape + (num_classes,), dtype=dtype)
-    np.put_along_axis(out, values[..., None].astype(np.int64), 1.0, axis=-1)
-    return out
+    return _identity_rows(values, num_classes, num_classes, dtype)
 
 
 def indicator_block(ids, num_ids: int, block_size: int, dtype=np.float64) -> np.ndarray:
     """One-hot over ``num_ids`` zero-padded (never truncated) to block size."""
     if num_ids > block_size:
         raise ValueError(f"cannot fit {num_ids} indicator states in a block of {block_size}")
-    hot = one_hot(ids, num_ids, dtype=dtype)
-    pad = np.zeros(hot.shape[:-1] + (block_size - num_ids,), dtype=dtype)
-    return np.concatenate([hot, pad], axis=-1)
+    return _identity_rows(ids, num_ids, block_size, dtype)

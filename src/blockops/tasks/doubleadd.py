@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .batches import TaskBatch, indicator_block
+from .batches import TaskBatch, one_hot, indicator_block
 from .addmul import full_pairs, limited_pairs
 
 __all__ = [
@@ -22,10 +22,7 @@ __all__ = [
 BLOCK_SIZE = 10
 NUM_TASKS = 2
 
-# lookup tables: a digit's block, a task's indicator block, and the limited
-# second pairs of each split orientation
-_DIGIT_BLOCKS = np.eye(BLOCK_SIZE)
-_TASK_BLOCKS = indicator_block(np.arange(NUM_TASKS), NUM_TASKS, BLOCK_SIZE)
+# the limited second pairs of each split orientation
 _LIMITED_PAIRS = {split: np.asarray(limited_pairs(split), dtype=np.int64)
                   for split in (False, True)}
 
@@ -33,11 +30,10 @@ _LIMITED_PAIRS = {split: np.asarray(limited_pairs(split), dtype=np.int64)
 def encode_doubleadd(p1, p2, task_ids) -> np.ndarray:
     """Blocks [batch, 5, 10] from digit pairs ``p1`` and ``p2`` ([batch, 2])
     and task ids: the four digits, then the task indicator."""
-    task_ids = np.asarray(task_ids, dtype=np.int64)
     inputs = np.empty((len(task_ids), 5, BLOCK_SIZE))
-    inputs[:, 0:2] = _DIGIT_BLOCKS[np.asarray(p1, dtype=np.int64)]
-    inputs[:, 2:4] = _DIGIT_BLOCKS[np.asarray(p2, dtype=np.int64)]
-    inputs[:, 4] = _TASK_BLOCKS[task_ids]
+    inputs[:, 0:2] = one_hot(p1, BLOCK_SIZE)
+    inputs[:, 2:4] = one_hot(p2, BLOCK_SIZE)
+    inputs[:, 4] = indicator_block(task_ids, NUM_TASKS, BLOCK_SIZE)
     return inputs
 
 

@@ -1,3 +1,7 @@
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,12 @@ def sample_params(seed=0):
         "layer.w": T.parameter(rng.normal(size=(3, 4))),
         "layer.b": T.parameter(np.zeros(4)),
     }
+
+
+def write_raw(path, header, body=b""):
+    """A checkpoint file holding ``header`` as its JSON header, then ``body``."""
+    data = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(data)) + data + body)
 
 
 class TestRoundTrip:
@@ -78,6 +88,28 @@ class TestCorruption:
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"")
         with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    def test_cut_inside_header_length_names_the_path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), sample_params(), {})
+        path.write_bytes(path.read_bytes()[:len(MAGIC) + 3])
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("header", [{"config": {}}, {"tensors": []}, []],
+                             ids=["no_tensors", "no_config", "not_an_object"])
+    def test_header_without_its_fields_names_the_path(self, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        write_raw(path, header)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(str(path))
+
+    def test_entry_size_disagreeing_with_shape_names_the_path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        entry = {"name": "w", "shape": [2, 3], "dtype": "<f8", "offset": 0, "nbytes": 40}
+        write_raw(path, {"config": {}, "tensors": [entry]}, bytes(48))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(str(path))
 
     def test_magic_constant_starts_files(self, tmp_path):

@@ -199,7 +199,7 @@ class TestInspectCommand:
         bundle = build_model(plain, init)
         perm = init.permutation(60)
         restore_parameters(bundle.params, load_checkpoint(ckpt)[0])
-        probe = algo.gen_algo_episode(512, 1, np.random.default_rng(3)).step_batch(0).inputs
+        probe = algo.gen_algo_episode(512, 1, np.random.default_rng(3)).batch().inputs
         scrambled = probe.reshape(512, 60)[:, perm].reshape(512, 6, 10)
         trace = inspection.extract_routing_trace(bundle.net, scrambled)
         assert row["sharpness"] == inspection.attention_sharpness(trace)
@@ -267,7 +267,7 @@ class TestReportCommand:
         assert os.path.exists(os.path.join(out, "doubleadd.csv"))
         assert os.path.exists(os.path.join(out, "summary.txt"))
 
-    def test_no_csv_is_named_when_no_trial_completed(self, tmp_path, capsys):
+    def test_cell_without_a_completed_trial_gets_a_row(self, tmp_path, capsys):
         config, data = write_config(tmp_path, experiment="addmul", threshold=1.0,
                                     max_steps=4)
         assert main(["run", "--config", config]) == 1
@@ -275,8 +275,11 @@ class TestReportCommand:
         out = str(tmp_path / "report")
         assert main(["report", "--results", data["results_dir"], "--out", out]) == 0
         (line,) = headlines(capsys)
-        assert line == {"experiment": "addmul", "out": None, "rows": 0}
-        assert not os.path.exists(os.path.join(out, "addmul.csv"))
+        csv_path = os.path.join(out, "addmul.csv")
+        assert line == {"experiment": "addmul", "out": csv_path, "rows": 1}
+        with open(csv_path) as fh:
+            assert fh.read().splitlines() == [
+                "threshold,smfr_softmax_n,smfr_softmax_n_incomplete", "1.0,0,1"]
 
     def test_no_results(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path / "empty"),

@@ -333,23 +333,22 @@ class TestChunkedEvaluation:
         assert_chunks_match_one_pass(model, chunked, logits[-1])
 
     @pytest.mark.parametrize("model", list(EVAL_MODELS.values()), ids=list(EVAL_MODELS))
-    def test_algo_unrolls_match_one_pass(self, model, monkeypatch):
+    def test_algo_unrolls_match_one_pass(self, model):
         bundle = build_model(ExperimentConfig.from_dict({"experiment": "algo", "model": model}),
                              np.random.default_rng(0))
-        episode = algo_task.gen_algo_episode(300, 3, np.random.default_rng(1))
-        one_pass, _, _ = training._algo_unroll(bundle, episode, eval_mode=True)
+        batch = algo_task.gen_algo_episode(300, 3, np.random.default_rng(1)).batch()
+        one_pass, _ = training._algo_unroll(bundle, batch.inputs, eval_mode=True)
         finals = []
-        unroll = training._algo_unroll
 
-        def spy(bundle, part, **kwargs):
-            finals.append(unroll(bundle, part, **kwargs)[0].data)
-            return finals[-1], [], []
-        monkeypatch.setattr(training, "_algo_unroll", spy)
-        hits = training.algo_rows_correct(bundle, episode)
+        def predict(inputs):
+            outputs, _ = training._algo_unroll(bundle, inputs, eval_mode=True)
+            finals.append(outputs[-1].data)
+            return np.argmax(finals[-1], axis=2)
+        hits = training.rows_correct(predict, batch, training.ALGO_EVAL_CHUNK_ROWS)
         assert [len(f) for f in finals] == [128, 128, 44]
         assert np.array_equal(
-            hits, np.all(np.argmax(one_pass.data, axis=2) == episode.final, axis=1))
-        assert_chunks_match_one_pass(model, np.concatenate(finals), one_pass.data)
+            hits, np.all(np.argmax(one_pass[-1].data, axis=2) == batch.targets, axis=1))
+        assert_chunks_match_one_pass(model, np.concatenate(finals), one_pass[-1].data)
 
 
 class TestNoisyPermutation:
@@ -733,8 +732,7 @@ class TestTrainingGraph:
             return backward(loss, params)
 
         monkeypatch.setattr(Tensor, "backward", spy)
-        monkeypatch.setattr(training, "algo_rows_correct",
-                            lambda bundle, episode: np.zeros(1, dtype=bool))
+        monkeypatch.setattr(training, "evaluate_accuracy", lambda *args: 0.0)
         data = tiny_config(tmp_path, experiment="algo", batch_size=64, max_steps=1,
                            eval_every=1, model=EVAL_MODELS["transformer"])
         run_trial(ExperimentConfig.from_dict(data))
@@ -828,11 +826,16 @@ class TestNonFiniteLoss:
         first = grid_search(spec)
         assert first[0]["reason"] == "non_finite_loss" and first[0]["error"] is None
         assert [row["skipped"] for row in grid_search(spec)] == [True]
-        # beside a finished trial of the same cell, report counts only that one
+        # alone, the cell still gets a row: no completed trial and no means
+        results = str(tmp_path / "results")
+        (row,) = report_mod.write_report(results, str(tmp_path / "report"))["doubleadd"]
+        assert row == {"model": "fnn", "n": 0, "n_incomplete": 1}
+        # beside a finished trial of the same cell, the means are that one's
         monkeypatch.undo()
         run_trial(ExperimentConfig.from_dict(tiny_config(tmp_path, model=self.FNN, seed=1)))
-        report = report_mod.write_report(str(tmp_path / "results"), str(tmp_path / "report"))
-        assert [(row["model"], row["n"]) for row in report["doubleadd"]] == [("fnn", 1)]
+        report = report_mod.write_report(results, str(tmp_path / "report"))
+        assert [(row["model"], row["n"], row["n_incomplete"])
+                for row in report["doubleadd"]] == [("fnn", 1, 1)]
 
 
 class TestAbortedTrial:
@@ -1110,6 +1113,19 @@ class TestReport:
         assert (out / "summary.txt").read_text().startswith("== doubleadd ==")
         header = (out / "doubleadd.csv").read_text().splitlines()[0]
         assert "ood_mean" in header
+
+    def test_incomplete_trials_are_counted_per_cell(self):
+        def row(kind, completed, **fields):
+            config = ExperimentConfig.from_dict({"model": {"kind": kind}}).to_dict()
+            return {"config": config, "completed": completed, **fields}
+        addmul = report_mod._addmul_report([
+            row("fnn", True, preparation_data_accuracy=0.5), row("fnn", False),
+            row("smfr", False)])
+        assert addmul == [{"threshold": 0.7, "fnn": 0.5, "fnn_stderr": 0.0, "fnn_n": 1,
+                           "fnn_n_incomplete": 1, "smfr_softmax_n": 0,
+                           "smfr_softmax_n_incomplete": 1}]
+        algo = report_mod._algo_report([row("smfr", False)])
+        assert algo == [{"model": "smfr_softmax", "n": 0, "n_incomplete": 1, "top_n": 0}]
 
     def test_empty_results_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -16,7 +16,7 @@ from blockops.tasks.addmul import (
 from blockops.tasks.algo import (
     NUM_RULES,
     algo_apply_rule,
-    encode_algo_state,
+    encode_algo_episode,
     gen_algo_episode,
     rule_slots,
 )
@@ -168,6 +168,13 @@ class TestDoubleadd:
         batch = TaskBatch(inputs, np.array([[(3 + 4) % 10]], dtype=np.int64))
         assert batch.targets[0, 0] == 7
 
+    @pytest.mark.parametrize("p1, task", [([[-1, 0]], [0]), ([[10, 0]], [0]),
+                                          ([[0, 0]], [2])],
+                             ids=["digit_minus_one", "digit_ten", "task_two"])
+    def test_encoding_rejects_out_of_range_input(self, p1, task):
+        with pytest.raises(ValueError):
+            encode_doubleadd(p1, [[0, 0]], task)
+
     def test_generated_targets_follow_selected_pair(self):
         batch = gen_doubleadd_batch(1000, np.random.default_rng(2))
         p1a = batch.inputs[:, 0].argmax(axis=1)
@@ -299,17 +306,23 @@ class TestAlgoEpisodes:
             gen_algo_episode(8, 0, np.random.default_rng(0))
 
     def test_state_encoding_layout(self):
-        inputs = encode_algo_state(np.array([[1, 2, 3, 4, 5]]), np.array([2]))
-        assert inputs.shape == (1, 6, 10)
+        inputs = encode_algo_episode(np.array([[1, 2, 3, 4, 5]]), np.array([[2, 0, 4]]))
+        assert inputs.shape == (1, 8, 10)
         assert np.array_equal(inputs[0, :5].argmax(axis=1), [1, 2, 3, 4, 5])
-        assert inputs[0, 5].argmax() == 2
-        assert inputs[0, 5].sum() == 1.0
+        assert np.array_equal(inputs[0, 5:].argmax(axis=1), [2, 0, 4])
+        assert np.array_equal(inputs[0].sum(axis=1), np.ones(8))
 
-    def test_teacher_forced_steps_cover_trajectory(self):
-        episode = gen_algo_episode(16, 2, np.random.default_rng(10))
-        step0 = episode.step_batch(0)
-        assert np.array_equal(step0.inputs[:, :5].argmax(axis=2), episode.initial)
-        assert np.array_equal(step0.targets, episode.states[:, 1])
+    def test_episode_batch_encodes_initial_state_and_rules(self):
+        episode = gen_algo_episode(16, 3, np.random.default_rng(10))
+        batch = episode.batch()
+        assert batch.inputs.shape == (16, 8, 10)
+        assert np.array_equal(batch.inputs[:, :5].argmax(axis=2), episode.initial)
+        assert np.array_equal(batch.inputs[:, 5:].argmax(axis=2), episode.rule_ids)
+        assert np.array_equal(batch.targets, episode.final)
+
+    def test_encoding_rejects_out_of_range_rule(self):
+        with pytest.raises(ValueError):
+            encode_algo_episode(np.zeros((1, 5), dtype=np.int64), np.array([[0, 5]]))
 
     def test_seeded_episodes_are_reproducible(self):
         a = gen_algo_episode(16, 2, np.random.default_rng(11))
