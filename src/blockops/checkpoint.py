@@ -1,65 +1,40 @@
-"""Single-file checkpoint format.
+"""Checkpoints as numpy ``.npz`` archives.
 
-Layout: an 8-byte magic, a uint64 little-endian header length, a UTF-8 JSON
-header, then the raw little-endian tensor buffers back to back.  The header
-records the run config echo plus name, shape, dtype, and byte offset of every
-tensor, so a reader can locate buffers without parsing them all.
+One archive member per parameter, named after it, plus ``__config__``: the
+run's config echo as a 0-d JSON string array.  Loading never unpickles, and
+the zip CRCs reject a file whose bytes changed after it was written.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-import struct
 import tempfile
+import zipfile
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError", "MAGIC"]
+__all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
-MAGIC = b"BLKOPS01"
+CONFIG_MEMBER = "__config__"
 
 
 class CheckpointError(Exception):
     pass
 
 
-def _le_dtype(dtype: np.dtype) -> str:
-    dt = np.dtype(dtype).newbyteorder("<")
-    return dt.str
-
-
 def save_checkpoint(path: str, params: dict[str, Tensor], config: dict) -> None:
     """Atomically write params and a config echo to ``path``."""
-    entries = []
-    offset = 0
-    buffers = []
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name].data, dtype=np.dtype(params[name].data.dtype).newbyteorder("<"))
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": _le_dtype(arr.dtype),
-            "offset": offset,
-            "nbytes": arr.nbytes,
-        })
-        buffers.append(arr.tobytes())
-        offset += arr.nbytes
-    header = json.dumps({"config": config, "tensors": entries},
-                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    arrays = {name: params[name].data for name in sorted(params)}
+    arrays[CONFIG_MEMBER] = np.array(json.dumps(config, sort_keys=True))
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(header)))
-            fh.write(header)
-            for buf in buffers:
-                fh.write(buf)
+            np.savez(fh, **arrays)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -71,34 +46,24 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: dict) -> None:
 
 def load_checkpoint(path: str):
     """Return (tensors, config); tensors is a name -> np.ndarray dict."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}")
-        size = fh.read(8)
-        if len(size) != 8:
-            raise CheckpointError(f"{path}: truncated header length")
-        (header_len,) = struct.unpack("<Q", size)
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError(f"{path}: unreadable header: {e}") from e
-        if not isinstance(header, dict) or not {"tensors", "config"} <= header.keys():
-            raise CheckpointError(f"{path}: header lacks 'tensors' or 'config'")
-        base = fh.tell()
-        tensors = {}
-        for entry in header["tensors"]:
-            dtype, shape = np.dtype(entry["dtype"]), entry["shape"]
-            if dtype.itemsize * math.prod(shape) != entry["nbytes"]:
-                raise CheckpointError(f"{path}: {entry['name']} has {entry['nbytes']} bytes, "
-                                      f"not those of a {shape} {dtype} array")
-            fh.seek(base + entry["offset"])
-            raw = fh.read(entry["nbytes"])
-            if len(raw) != entry["nbytes"]:
-                raise CheckpointError(f"{path}: truncated buffer for {entry['name']}")
-            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-            tensors[entry["name"]] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
-    return tensors, header["config"]
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"{path}: a bare array, not a checkpoint archive")
+        with archive:
+            tensors = {name: archive[name] for name in archive.files}
+        if CONFIG_MEMBER not in tensors:
+            raise CheckpointError(f"{path}: archive has no {CONFIG_MEMBER} member")
+        # NpzFile hands back a member that is not a .npy array as raw bytes
+        foreign = sorted(n for n, a in tensors.items() if not isinstance(a, np.ndarray))
+        if foreign:
+            raise CheckpointError(f"{path}: members {foreign} are not arrays")
+        config = json.loads(str(tensors.pop(CONFIG_MEMBER)))
+    except (FileNotFoundError, CheckpointError):
+        raise
+    except (EOFError, ValueError, zipfile.BadZipFile, OSError) as e:
+        raise CheckpointError(f"{path}: not a readable checkpoint archive: {e}") from e
+    return tensors, config
 
 
 def restore_parameters(params: dict[str, Tensor], tensors: dict[str, np.ndarray]) -> None:

@@ -91,6 +91,8 @@ def _probe_inputs(cfg: ExperimentConfig, pset, seed: int, allow_download: bool) 
 
 def cmd_inspect(args) -> int:
     tensors, header = load_checkpoint(args.checkpoint)
+    if "config" not in header:
+        raise CheckpointError(f"{args.checkpoint}: holds no run config")
     cfg = ExperimentConfig.from_dict(header["config"]).validate()
     # a checkpoint holds neither permutation; the replayed init stream does
     _, pset, bundle = replay_init(cfg)

@@ -124,6 +124,8 @@ class ExperimentConfig:
                 f"model.attention: must be one of {ATTENTION_KINDS}, got {self.model.attention!r}")
         if not 0 < self.threshold <= 1:
             raise ConfigError(f"threshold: must be in (0, 1], got {self.threshold}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         for name in ("batch_size", "max_steps", "eval_every", "full_eval_every",
                      "interference_steps"):
             if getattr(self, name) <= 0:
@@ -138,7 +140,8 @@ class ExperimentConfig:
             raise ConfigError(f"model.stack_depth: must be >= 0, got {self.model.stack_depth}")
         for listfield in ("fnn_hidden", "hidden_widths"):
             v = getattr(self.model, listfield)
-            if not isinstance(v, list) or any(not isinstance(w, int) or w <= 0 for w in v):
+            if not isinstance(v, list) or any(
+                    isinstance(w, bool) or not isinstance(w, int) or w <= 0 for w in v):
                 raise ConfigError(f"model.{listfield}: must be a list of positive ints, got {v!r}")
         if self.bpmnist.scale <= 0:
             raise ConfigError(f"bpmnist.scale: must be positive, got {self.bpmnist.scale}")

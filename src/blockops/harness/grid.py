@@ -38,6 +38,8 @@ class GridSpec:
                 raise ConfigError(f"{name}: expected integer, got {type(value).__name__}")
         if self.trials_per_cell <= 0:
             raise ConfigError("trials_per_cell: must be positive")
+        if self.seed_base < 0:
+            raise ConfigError(f"seed_base: must be >= 0, got {self.seed_base}")
         if not isinstance(self.base, dict):
             raise ConfigError("base: must be an object")
         if not isinstance(self.axes, dict):

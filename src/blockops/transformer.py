@@ -58,14 +58,18 @@ class AttentionTrace:
 
 
 class _Attention:
-    """Multi-head attention; query and key/value sequences may differ."""
+    """Multi-head attention; query and key/value sequences may differ.
+
+    The key projection has no bias: a key bias adds the same ``q . bk`` to
+    every score of a query row, which the softmax cancels, so its gradient
+    is zero and Adam would only walk it on rounding noise."""
 
     def __init__(self, rng, width, heads, name):
         self.width = width
         self.heads = heads
         self.head_dim = width // heads
         self.wq = _init_affine(rng, width, width)
-        self.wk = _init_affine(rng, width, width)
+        self.wk = _init_affine(rng, width, width)[0]
         self.wv = _init_affine(rng, width, width)
         self.wo = _init_affine(rng, width, width)
         self.name = name
@@ -81,7 +85,7 @@ class _Attention:
         q_batch, q_len, _ = queries.shape
         kv_batch, kv_len, _ = keys_values.shape
         q = self._split(T.affine(queries, *self.wq), q_batch, q_len)
-        k = self._split(T.affine(keys_values, *self.wk), kv_batch, kv_len)
+        k = self._split(T.matmul(keys_values, self.wk), kv_batch, kv_len)
         v = self._split(T.affine(keys_values, *self.wv), kv_batch, kv_len)
         scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.head_dim))
         weights = T.softmax(scores, axis=3)
@@ -91,11 +95,10 @@ class _Attention:
         return T.affine(mixed, *self.wo), weights
 
     def parameters(self):
-        out = {}
-        for tag, (w, b) in zip(("q", "k", "v", "o"), (self.wq, self.wk, self.wv, self.wo)):
-            out[f"{self.name}.w{tag}"] = w
-            out[f"{self.name}.b{tag}"] = b
-        return out
+        n = self.name
+        return {f"{n}.wq": self.wq[0], f"{n}.bq": self.wq[1], f"{n}.wk": self.wk,
+                f"{n}.wv": self.wv[0], f"{n}.bv": self.wv[1],
+                f"{n}.wo": self.wo[0], f"{n}.bo": self.wo[1]}
 
 
 class _Ffn:

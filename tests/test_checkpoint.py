@@ -1,13 +1,13 @@
-import json
+import io
 import re
-import struct
+import zipfile
 
 import numpy as np
 import pytest
 
 from blockops import tensor as T
 from blockops.checkpoint import (
-    MAGIC,
+    CONFIG_MEMBER as CONFIG,
     CheckpointError,
     load_checkpoint,
     restore_parameters,
@@ -22,12 +22,6 @@ def sample_params(seed=0):
         "layer.w": T.parameter(rng.normal(size=(3, 4))),
         "layer.b": T.parameter(np.zeros(4)),
     }
-
-
-def write_raw(path, header, body=b""):
-    """A checkpoint file holding ``header`` as its JSON header, then ``body``."""
-    data = json.dumps(header).encode("utf-8")
-    path.write_bytes(MAGIC + struct.pack("<Q", len(data)) + data + body)
 
 
 class TestRoundTrip:
@@ -66,56 +60,93 @@ class TestRoundTrip:
         assert leftovers == []
 
 
-class TestCorruption:
-    def test_bad_magic_is_rejected(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), sample_params(), {})
-        raw = bytearray(path.read_bytes())
-        raw[:8] = b"NOTMAGIC"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(str(path))
+def npy_bytes(arr):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr)
+    return buf.getvalue()
 
+
+def write_archive(path, members):
+    """A zip holding each ``name -> bytes`` as ``name.npy``, and a valid
+    config echo."""
+    members = {CONFIG: npy_bytes(np.array("{}")), **members}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(f"{name}.npy", data)
+
+
+def foreign_bytes(path):
+    # the start of a checkpoint in the format before the npz archives
+    path.write_bytes(b"BLKOPS01" + bytes(64))
+
+
+def flipped_tensor_byte(path):
+    params = sample_params()
+    save_checkpoint(str(path), params, {})
+    raw = bytearray(path.read_bytes())
+    at = raw.index(params["layer.w"].data.tobytes()) + 3
+    raw[at] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def unknown_descr(path):
+    member = npy_bytes(np.zeros(3)).replace(b"'<f8'", b"'<q8'", 1)
+    write_archive(path, {"layer.w": member})
+
+
+def object_array(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, **{"layer.w": np.array([{}, None], dtype=object),
+                        CONFIG: np.array("{}")})
+
+
+def too_short_for_shape(path):
+    write_archive(path, {"layer.w": npy_bytes(np.zeros((2, 3)))[:-8]})
+
+
+def foreign_member(path):
+    write_archive(path, {})
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("layer.w", bytes(16))
+
+
+def bare_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+def missing_config(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, **{"layer.w": np.zeros(3)})
+
+
+class TestCorruption:
     def test_truncated_file_is_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), sample_params(), {})
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-5])
-        with pytest.raises(CheckpointError):
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(str(path))
 
     def test_empty_file_is_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(str(path))
-
-    def test_cut_inside_header_length_names_the_path(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), sample_params(), {})
-        path.write_bytes(path.read_bytes()[:len(MAGIC) + 3])
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("header", [{"config": {}}, {"tensors": []}, []],
-                             ids=["no_tensors", "no_config", "not_an_object"])
-    def test_header_without_its_fields_names_the_path(self, tmp_path, header):
+    @pytest.mark.parametrize("write", [
+        foreign_bytes, flipped_tensor_byte, unknown_descr, object_array,
+        too_short_for_shape, foreign_member, bare_npy, missing_config,
+    ], ids=lambda f: f.__name__)
+    def test_unreadable_file_names_the_path(self, tmp_path, write):
         path = tmp_path / "model.ckpt"
-        write_raw(path, header)
+        write(path)
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(str(path))
 
-    def test_entry_size_disagreeing_with_shape_names_the_path(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        entry = {"name": "w", "shape": [2, 3], "dtype": "<f8", "offset": 0, "nbytes": 40}
-        write_raw(path, {"config": {}, "tensors": [entry]}, bytes(48))
-        with pytest.raises(CheckpointError, match=re.escape(str(path))):
-            load_checkpoint(str(path))
-
-    def test_magic_constant_starts_files(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(str(path), sample_params(), {})
-        assert path.read_bytes()[:8] == MAGIC
+    def test_missing_file_is_not_a_format_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(str(tmp_path / "nope.ckpt"))
 
 
 class TestRestore:

@@ -8,12 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from blockops import inspection
+from blockops import inspection, tensor as T
 from blockops.cli import main
 from blockops.harness.config import ExperimentConfig, config_hash
 from blockops.harness.metrics import read_records, results_path
 from blockops.harness.training import build_model
-from blockops.checkpoint import load_checkpoint, restore_parameters
+from blockops.checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from blockops.tasks import algo, bpmnist
 from blockops.tasks.mnist_io import load_mnist
 from test_mnist import write_synthetic_cache
@@ -79,6 +79,12 @@ class TestRunCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        config, _ = write_config(tmp_path)
+        assert main(["run", "--config", config, "--set", "seed=-1"]) == 2
+        assert "seed: must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "results")
+
     def test_incomplete_trial_exits_nonzero(self, tmp_path, capsys):
         # addmul that never clears its switch threshold
         config, _ = write_config(tmp_path, experiment="addmul", threshold=1.0,
@@ -118,8 +124,11 @@ class TestGridCommand:
         ('{"base": {}', "grid spec is not valid JSON"),
         ('{"base": {"seed": "3"}}', "seed: expected integer"),
         ('{"base": {}, "axes": {"seed": [1.5]}}', "seed: expected integer"),
+        ('{"base": {}, "seed_base": -1}', "seed_base: must be >= 0"),
+        ('{"base": {}, "axes": {"seed": [0, -1]}}', "seed: must be >= 0"),
     ], ids=["list-root", "string-trials", "string-seed-base", "invalid-json",
-            "string-base-seed", "float-axis-seed"])
+            "string-base-seed", "float-axis-seed", "negative-seed-base",
+            "negative-axis-seed"])
     def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "spec.json"
         path.write_text(text)
@@ -247,6 +256,12 @@ class TestInspectCommand:
     def test_missing_checkpoint(self, tmp_path, capsys):
         assert main(["inspect", "--checkpoint",
                      str(tmp_path / "nope.ckpt")]) == 1
+
+    def test_checkpoint_without_a_run_config(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "bare.ckpt")
+        save_checkpoint(ckpt, {"w": T.parameter(np.zeros(2))}, {"step": 3})
+        assert main(["inspect", "--checkpoint", ckpt]) == 1
+        assert ckpt in capsys.readouterr().err
 
     def test_model_without_routing(self, tmp_path, capsys):
         ckpt = self.checkpoint_from_trial(tmp_path, capsys, kind="fnn")

@@ -106,14 +106,18 @@ class TestConfigValidation:
             cfg.validate()
 
     def test_bad_hidden_width_lists(self):
-        cfg = ExperimentConfig()
-        cfg.model.fnn_hidden = [100, 0]
-        with pytest.raises(ConfigError, match="fnn_hidden"):
-            cfg.validate()
-        cfg = ExperimentConfig()
-        cfg.model.hidden_widths = "100"
-        with pytest.raises(ConfigError, match="hidden_widths"):
-            cfg.validate()
+        # bool is an int subclass; True would pass as a width-1 layer
+        for field, value in [("fnn_hidden", [100, 0]), ("hidden_widths", "100"),
+                             ("fnn_hidden", [True]), ("hidden_widths", [True, 3])]:
+            cfg = ExperimentConfig()
+            setattr(cfg.model, field, value)
+            with pytest.raises(ConfigError, match=field):
+                cfg.validate()
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(seed=-1).validate()
+        ExperimentConfig(seed=0).validate()
 
     def test_variant_constraints(self):
         cfg = ExperimentConfig()

@@ -36,6 +36,28 @@ class TestAttention:
         expected = v @ attn.wo[0].data + attn.wo[1].data
         assert np.allclose(out.data, np.broadcast_to(expected, out.data.shape), atol=1e-12)
 
+    def test_bias_free_keys_match_a_zero_key_bias_bitwise(self, monkeypatch):
+        attn = _Attention(np.random.default_rng(4), width=8, heads=2, name="a")
+        assert "a.bk" not in attn.parameters()
+        rng = np.random.default_rng(5)
+        q = T.tensor(rng.normal(size=(2, 3, 8)))
+        kv = T.tensor(rng.normal(size=(2, 5, 8)))
+        out, weights = attn.forward(q, kv)
+
+        matmul, zeros, biased = T.matmul, T.tensor(np.zeros(8)), []
+
+        def key_affine(a, b):
+            if b is not attn.wk:
+                return matmul(a, b)
+            biased.append(b)
+            return T.affine(a, b, zeros)
+
+        monkeypatch.setattr(T, "matmul", key_affine)
+        ref_out, ref_weights = attn.forward(q, kv)
+        assert biased == [attn.wk]
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        assert weights.data.tobytes() == ref_weights.data.tobytes()
+
 
 class TestTransformer:
     def test_output_shape(self):
@@ -169,18 +191,22 @@ class TestBatchInvariance:
         # batch would run the first self-attention once per row
         model = Transformer(INVARIANCE_CONFIGS[layers], np.random.default_rng(20))
         leading = {}
-        affine = T.affine
 
-        def spy(x, w, b):
-            leading.setdefault(id(w), []).append(x.shape[0])
-            return affine(x, w, b)
+        def spying(op):
+            def spy(x, w, *bias):
+                leading.setdefault(id(w), []).append(x.shape[0])
+                return op(x, w, *bias)
+            return spy
 
-        monkeypatch.setattr(T, "affine", spy)
+        # the key projection is a bias-free matmul, the others are affine
+        monkeypatch.setattr(T, "affine", spying(T.affine))
+        monkeypatch.setattr(T, "matmul", spying(T.matmul))
         x = np.random.default_rng(23).normal(size=(64, 4, 10))
         model.forward(T.tensor(x))
 
         def dims(attn, tags="qkvo"):
-            return [leading[id(getattr(attn, f"w{tag}")[0])] for tag in tags]
+            weights = attn.parameters()
+            return [leading[id(weights[f"{attn.name}.w{tag}"])] for tag in tags]
 
         assert dims(model.dec_self[0]) == [[1]] * 4
         assert dims(model.dec_cross[0], "q") == [[1]]
