@@ -11,8 +11,10 @@ inputs and outputs live.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -115,6 +117,10 @@ class ExperimentConfig:
     data_dir: str = ""
 
     def validate(self) -> "ExperimentConfig":
+        for key in valid_override_keys():
+            value = functools.reduce(getattr, key.split("."), self)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment: must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if self.model.kind not in MODEL_KINDS:
@@ -134,6 +140,16 @@ class ExperimentConfig:
             raise ConfigError(f"early_stop_evals: must be >= 0, got {self.early_stop_evals}")
         if self.clip_norm <= 0:
             raise ConfigError(f"clip_norm: must be positive, got {self.clip_norm}")
+        opt = self.optimizer
+        for name in ("learning_rate", "epsilon"):
+            if getattr(opt, name) <= 0:
+                raise ConfigError(f"optimizer.{name}: must be positive, got {getattr(opt, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(opt, name) < 1:
+                raise ConfigError(f"optimizer.{name}: must be in [0, 1), got {getattr(opt, name)}")
+        if self.model.gumbel_temperature <= 0:
+            raise ConfigError(
+                f"model.gumbel_temperature: must be positive, got {self.model.gumbel_temperature}")
         if self.regularization.threshold <= 0:
             raise ConfigError("regularization.threshold: must be positive")
         if self.model.stack_depth < 0:

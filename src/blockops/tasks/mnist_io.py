@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import struct
-import urllib.request
 
 import numpy as np
 
@@ -119,6 +118,9 @@ def _write_manifest(cache_dir: str) -> None:
 
 
 def _download(cache_dir: str) -> None:
+    # imported here: it loads http, ssl and email, which no other path needs
+    import urllib.request
+
     os.makedirs(cache_dir, exist_ok=True)
     for fname in FILES.values():
         dest = os.path.join(cache_dir, fname)

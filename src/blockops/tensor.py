@@ -188,12 +188,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _make(data, parents, backward_fn) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward_fn=backward_fn)
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(data, requires_grad=True, _parents=tuple(parents),
+                              _backward_fn=backward_fn)
     return Tensor(data)
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
     """Add ``g`` into ``t.grad`` under the ownership rule.
 
     Backward closures hand the same array to several operands (``add`` gives
@@ -204,13 +207,15 @@ def _accumulate(t: Tensor, g: np.ndarray):
     C-contiguous: a strided gradient would send later BLAS calls down
     another path and change the bits.  A leaf owns its buffer, since clip
     scales it in place: its first gradient is copied, later ones are added
-    in place.  Every buffer has the memory layout of ``t.data``.
+    in place.  A ``fresh`` gradient, an array the closure formed and holds
+    nowhere else, is already owned, so a leaf adopts it as well.  Every
+    buffer has the memory layout of ``t.data``.
     """
     if not t.requires_grad:
         return
     leaf = t._backward_fn is None
     if t.grad is None:
-        if (not leaf and g.shape == t.data.shape and g.dtype == t.data.dtype
+        if ((fresh or not leaf) and g.shape == t.data.shape and g.dtype == t.data.dtype
                 and g.flags.c_contiguous and t.data.flags.c_contiguous):
             t.grad = g
         else:
@@ -280,7 +285,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return
         if b.data.ndim == 2 and a.data.ndim > 2:
             k, n = b.data.shape
-            _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
         else:
             _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
@@ -304,12 +309,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data += b.data
 
     def backward(g):
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        # g has at least two axes, so the bias gradient is a fresh sum
+        _accumulate(b, _unbroadcast(g, b.data.shape), fresh=True)
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
         if w.requires_grad:
             k, n = w.data.shape
-            _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n))
+            _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
 
     return _make(data, (x, w, b), backward)
 
@@ -323,8 +329,11 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     np.maximum(data, x.data, out=data)
 
     def backward(g):
-        gx = g * slope
-        np.copyto(gx, g, where=x.data >= 0)
+        # g times the factor the mask x >= 0 indexes: a gather and one product,
+        # where a masked copy would branch on every element
+        factors = np.array([slope, 1.0], dtype=g.dtype)
+        gx = factors.take((x.data >= 0).view(np.uint8))
+        gx *= g
         _accumulate(x, gx)
 
     return _make(data, (x,), backward)
@@ -353,7 +362,16 @@ def log(x: Tensor) -> Tensor:
 
 
 def _softmax_data(data: np.ndarray, axis: int) -> np.ndarray:
-    out = data - data.max(axis=axis, keepdims=True)
+    n = data.shape[axis]
+    if axis in (-1, data.ndim - 1) and 2 <= n <= 8:
+        # numpy reduces a contiguous axis one row at a time; over a short last
+        # axis the elementwise max of its columns is far faster, and exact
+        top = np.maximum(data[..., :1], data[..., 1:2])
+        for i in range(2, n):
+            np.maximum(top, data[..., i:i + 1], out=top)
+    else:
+        top = data.max(axis=axis, keepdims=True)
+    out = data - top
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
     return out
@@ -452,7 +470,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     data = x.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = [0] * len(axes)
+    for i, a in enumerate(axes):
+        inverse[a] = i
 
     def backward(g):
         _accumulate(x, g.transpose(inverse))
@@ -463,8 +483,9 @@ def transpose(x: Tensor, axes) -> Tensor:
 def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = [0]
+    for t in tensors:
+        offsets.append(offsets[-1] + t.data.shape[axis])
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):

@@ -85,6 +85,20 @@ class TestRunCommand:
         assert "seed: must be >= 0" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "results")
 
+    @pytest.mark.parametrize("override, message", [
+        ("optimizer.beta1=1.5", "optimizer.beta1: must be in [0, 1)"),
+        ("optimizer.learning_rate=-0.1", "optimizer.learning_rate: must be positive"),
+        ("clip_norm=NaN", "clip_norm: must be finite"),
+        ("model.gumbel_temperature=0.0", "model.gumbel_temperature: must be positive"),
+    ], ids=["beta1", "learning-rate", "nan-clip-norm", "zero-temperature"])
+    def test_bad_number_is_a_usage_error(self, tmp_path, capsys, override, message):
+        config, _ = write_config(tmp_path, model={"kind": "smfr", "stack_width": 2,
+                                                  "stack_depth": 0, "fnn_hidden": [8],
+                                                  "attention": "gumbel_st"})
+        assert main(["run", "--config", config, "--set", override]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "results")
+
     def test_incomplete_trial_exits_nonzero(self, tmp_path, capsys):
         # addmul that never clears its switch threshold
         config, _ = write_config(tmp_path, experiment="addmul", threshold=1.0,
@@ -126,9 +140,13 @@ class TestGridCommand:
         ('{"base": {}, "axes": {"seed": [1.5]}}', "seed: expected integer"),
         ('{"base": {}, "seed_base": -1}', "seed_base: must be >= 0"),
         ('{"base": {}, "axes": {"seed": [0, -1]}}', "seed: must be >= 0"),
+        ('{"base": {"optimizer": {"beta2": 1.0}}}', "optimizer.beta2: must be in [0, 1)"),
+        ('{"base": {}, "axes": {"clip_norm": [0.1, NaN]}}', "clip_norm: must be finite"),
+        ('{"base": {}, "axes": {"optimizer.epsilon": [0]}}',
+         "optimizer.epsilon: must be positive"),
     ], ids=["list-root", "string-trials", "string-seed-base", "invalid-json",
             "string-base-seed", "float-axis-seed", "negative-seed-base",
-            "negative-axis-seed"])
+            "negative-axis-seed", "beta2-one", "nan-axis-clip-norm", "zero-epsilon"])
     def test_malformed_spec_is_a_usage_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "spec.json"
         path.write_text(text)

@@ -3,6 +3,8 @@ cannot leave a stale export behind."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -23,3 +25,13 @@ def test_every_exported_name_resolves(name):
 
 def test_the_walk_sees_every_subpackage():
     assert {"blockops.harness", "blockops.tasks", "blockops.cli"} <= set(MODULES)
+
+
+def test_import_loads_no_network_stack():
+    # urllib.request alone pulls in http, ssl and email; only an MNIST download needs it
+    network = ["urllib.request", "http.client", "ssl", "email.parser"]
+    code = ("import sys, blockops, blockops.cli; "
+            f"print([m for m in {network!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Experiment harness: config schema, metrics files, trials, grids, reports."""
 
 import errno
+import functools
 import json
 import os
 import shutil
@@ -50,6 +51,11 @@ def tiny_config(tmp_path, **edits):
     for key, value in edits.items():
         data[key] = value
     return data
+
+
+FLOAT_FIELDS = ["clip_norm", "threshold", "optimizer.learning_rate", "optimizer.beta1",
+                "optimizer.beta2", "optimizer.epsilon", "model.gumbel_temperature",
+                "regularization.threshold", "bpmnist.scale"]
 
 
 class TestConfigValidation:
@@ -118,6 +124,44 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig(seed=-1).validate()
         ExperimentConfig(seed=0).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", -0.1), ("epsilon", 0.0),
+        ("beta1", 1.0), ("beta1", 1.5), ("beta1", -0.1), ("beta2", 1.0), ("beta2", -1e-9),
+    ])
+    def test_optimizer_ranges(self, field, value):
+        cfg = ExperimentConfig()
+        setattr(cfg.optimizer, field, value)
+        with pytest.raises(ConfigError, match=rf"optimizer\.{field}"):
+            cfg.validate()
+
+    def test_optimizer_range_ends(self):
+        cfg = ExperimentConfig()
+        cfg.optimizer.beta1 = 0.0
+        cfg.optimizer.beta2 = 0.0
+        cfg.validate()
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_gumbel_temperature_must_be_positive(self, value):
+        cfg = ExperimentConfig()
+        cfg.model.attention = "gumbel_st"
+        cfg.model.gumbel_temperature = value
+        with pytest.raises(ConfigError, match=r"model\.gumbel_temperature"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("path", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_floats(self, path, value):
+        data = apply_overrides({}, [(path, value)])
+        with pytest.raises(ConfigError, match=rf"{path}: must be finite"):
+            ExperimentConfig.from_dict(data).validate()
+
+    def test_the_non_finite_cases_cover_every_float_field(self):
+        cfg = ExperimentConfig()
+        floats = [key for key in valid_override_keys()
+                  if isinstance(functools.reduce(getattr, key.split("."), cfg), float)]
+        assert sorted(floats) == sorted(FLOAT_FIELDS)
 
     def test_variant_constraints(self):
         cfg = ExperimentConfig()

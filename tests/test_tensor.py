@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -536,6 +537,66 @@ class TestOneAllocationOps:
                 out._backward_fn(g.copy())
             assert np.array_equal(_bits(out.data), _bits(want))
             assert np.array_equal(_bits(p.grad), _bits(want_grad))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_softmax_over_a_short_last_axis_keeps_the_bits_of_the_max_formula(self, n):
+        # up to 8 entries the row max is taken column by column; 9 is the reduction
+        rng = np.random.default_rng(7)
+        values = np.concatenate([SPECIAL, SPECIAL[::-1], rng.normal(scale=30.0, size=2 * n)])
+        rows = np.stack([np.roll(values, -i)[:n] for i in range(values.size)])
+        for x in (rows, rows.reshape(-1, 2, n)):
+            g = rng.normal(size=x.shape)
+            g.reshape(-1)[:SPECIAL.size] = SPECIAL
+            for axis in (-1, x.ndim - 1):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    shifted = x - x.max(axis=axis, keepdims=True)
+                    ex = np.exp(shifted)
+                    want = ex / ex.sum(axis=axis, keepdims=True)
+                    want_grad = (g - (g * want).sum(axis=axis, keepdims=True)) * want
+                    p = T.parameter(x.copy())
+                    out = T.softmax(p, axis)
+                    out._backward_fn(g.copy())
+                assert np.array_equal(_bits(out.data), _bits(want))
+                assert np.array_equal(_bits(p.grad), _bits(want_grad))
+
+    def test_a_weight_shared_by_two_affine_nodes_gets_the_summed_gradient(self):
+        rng = np.random.default_rng(8)
+        w = T.parameter(rng.normal(size=(4, 3)))
+        b = T.parameter(rng.normal(size=3))
+        other = T.parameter(rng.normal(size=(5, 4)))
+        x1, x2 = T.mul(other, T.tensor(1.5)), T.tensor(rng.normal(size=(2, 5, 4)))
+        y1, y2 = T.affine(x1, w, b), T.affine(x2, w, b)
+        c1, c2 = T.tensor(rng.normal(size=y1.shape)), T.tensor(rng.normal(size=y2.shape))
+        loss = T.add(T.sum_all(T.mul(y1, c1)), T.sum_all(T.mul(y2, c2)))
+        loss.backward(params=[w, b, other])
+        g1, g2 = c1.data, c2.data
+        want_w = x1.data.T @ g1 + x2.data.reshape(-1, 4).T @ g2.reshape(-1, 3)
+        want_b = g1.sum(axis=0) + g2.sum(axis=(0, 1))
+        want_other = (g1 @ w.data.T) * 1.5
+        assert np.array_equal(_bits(w.grad), _bits(want_w))
+        assert np.array_equal(_bits(b.grad), _bits(want_b))
+        assert np.array_equal(_bits(other.grad), _bits(want_other))
+        graph = [t.data for t in (w, b, other, x1, x2, y1, y2, c1, c2, loss)]
+        before = [a.copy() for a in graph]
+        scale = clip_global_norm([w, b, other], max_norm=1e-3)
+        assert scale < 1.0
+        assert np.array_equal(_bits(w.grad), _bits(want_w * scale))
+        assert np.array_equal(_bits(b.grad), _bits(want_b * scale))
+        assert np.array_equal(_bits(other.grad), _bits(want_other * scale))
+        for a, copy in zip(graph, before):
+            assert np.array_equal(_bits(a), _bits(copy))
+
+    def test_transpose_backward_undoes_every_permutation(self):
+        rng = np.random.default_rng(9)
+        data = rng.normal(size=(2, 3, 4, 5))
+        perms = list(itertools.permutations(range(4))) + [(0, -1, 1, -2), (-1, -2, -3, -4)]
+        for axes in perms:
+            x = T.parameter(data.copy())
+            out = T.transpose(x, axes)
+            g = rng.normal(size=out.shape)
+            out._backward_fn(g.copy())
+            assert x.grad.shape == data.shape
+            assert np.array_equal(x.grad, g.transpose(np.argsort(np.mod(axes, 4))))
 
     def test_gumbel_backward_keeps_the_bits_of_the_soft_formula(self):
         rng = np.random.default_rng(5)
