@@ -196,7 +196,7 @@ def _make(data, parents, backward_fn) -> Tensor:
     return Tensor(data)
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
+def _accumulate(t: Tensor, g: np.ndarray):
     """Add ``g`` into ``t.grad`` under the ownership rule.
 
     Backward closures hand the same array to several operands (``add`` gives
@@ -207,15 +207,13 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
     C-contiguous: a strided gradient would send later BLAS calls down
     another path and change the bits.  A leaf owns its buffer, since clip
     scales it in place: its first gradient is copied, later ones are added
-    in place.  A ``fresh`` gradient, an array the closure formed and holds
-    nowhere else, is already owned, so a leaf adopts it as well.  Every
-    buffer has the memory layout of ``t.data``.
+    in place.  Every buffer has the memory layout of ``t.data``.
     """
     if not t.requires_grad:
         return
     leaf = t._backward_fn is None
     if t.grad is None:
-        if ((fresh or not leaf) and g.shape == t.data.shape and g.dtype == t.data.dtype
+        if (not leaf and g.shape == t.data.shape and g.dtype == t.data.dtype
                 and g.flags.c_contiguous and t.data.flags.c_contiguous):
             t.grad = g
         else:
@@ -285,7 +283,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return
         if b.data.ndim == 2 and a.data.ndim > 2:
             k, n = b.data.shape
-            _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
+            _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
         else:
             _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
@@ -309,13 +307,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data += b.data
 
     def backward(g):
-        # g has at least two axes, so the bias gradient is a fresh sum
-        _accumulate(b, _unbroadcast(g, b.data.shape), fresh=True)
+        _accumulate(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
         if w.requires_grad:
             k, n = w.data.shape
-            _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
+            _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n))
 
     return _make(data, (x, w, b), backward)
 
@@ -362,12 +359,12 @@ def log(x: Tensor) -> Tensor:
 
 
 def _softmax_data(data: np.ndarray, axis: int) -> np.ndarray:
-    n = data.shape[axis]
-    if axis in (-1, data.ndim - 1) and 2 <= n <= 8:
-        # numpy reduces a contiguous axis one row at a time; over a short last
-        # axis the elementwise max of its columns is far faster, and exact
-        top = np.maximum(data[..., :1], data[..., 1:2])
-        for i in range(2, n):
+    if axis in (-1, data.ndim - 1):
+        # numpy reduces a contiguous axis one row at a time; over the last axis
+        # (the Transformer's few keys) the elementwise max of its columns is far
+        # faster, and exact
+        top = data[..., :1].copy()
+        for i in range(1, data.shape[-1]):
             np.maximum(top, data[..., i:i + 1], out=top)
     else:
         top = data.max(axis=axis, keepdims=True)

@@ -540,7 +540,7 @@ class TestOneAllocationOps:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_softmax_over_a_short_last_axis_keeps_the_bits_of_the_max_formula(self, n):
-        # up to 8 entries the row max is taken column by column; 9 is the reduction
+        # over the last axis the row max is taken column by column
         rng = np.random.default_rng(7)
         values = np.concatenate([SPECIAL, SPECIAL[::-1], rng.normal(scale=30.0, size=2 * n)])
         rows = np.stack([np.roll(values, -i)[:n] for i in range(values.size)])
