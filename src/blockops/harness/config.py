@@ -154,6 +154,13 @@ class ExperimentConfig:
             raise ConfigError("regularization.threshold: must be positive")
         if self.model.stack_depth < 0:
             raise ConfigError(f"model.stack_depth: must be >= 0, got {self.model.stack_depth}")
+        for name in ("stack_width", "model_width", "num_heads", "encoder_layers",
+                     "decoder_layers", "ffn_width"):
+            if getattr(self.model, name) <= 0:
+                raise ConfigError(f"model.{name}: must be positive, got {getattr(self.model, name)}")
+        if self.model.model_width % self.model.num_heads:
+            raise ConfigError(f"model.model_width: {self.model.model_width} is not divisible "
+                              f"by model.num_heads {self.model.num_heads}")
         for listfield in ("fnn_hidden", "hidden_widths"):
             v = getattr(self.model, listfield)
             if not isinstance(v, list) or any(

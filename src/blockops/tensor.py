@@ -27,6 +27,7 @@ __all__ = [
     "mul",
     "matmul",
     "affine",
+    "attention",
     "leaky_relu",
     "sigmoid",
     "log",
@@ -290,14 +291,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> Tensor:
     """``x @ w + b`` for ``x`` of shape [..., k], a 2-D ``w`` and a 1-D ``b``,
-    as one node.
+    as one node; with ``residual``, ``residual + (x @ w + b)``.
 
     Forward and backward give the bits of ``add(matmul(x, w), b)``: the bias
     is added in place to the fresh product, the bias gradient is ``g``
     summed over every leading axis, and a batched ``x`` gets its weight
-    gradient as one 2-D product over the flattened leading axes.
+    gradient as one 2-D product over the flattened leading axes.  A residual
+    gives the bits of ``add(residual, affine(x, w, b))``: it is added in
+    place when it broadcasts to the product, and it gets its gradient first,
+    ahead of the product's operands, as that ``add`` would give it.
     """
     if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
             or b.data.shape != w.data.shape[1:]):
@@ -305,8 +309,18 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                          f"{w.data.shape} + {b.data.shape}")
     data = x.data @ w.data
     data += b.data
+    product_shape = data.shape
+    if residual is not None:
+        if np.broadcast_shapes(residual.data.shape, product_shape) == product_shape:
+            data += residual.data
+        else:
+            data = residual.data + data
 
     def backward(g):
+        if residual is not None:
+            if residual.requires_grad:
+                _accumulate(residual, _unbroadcast(g, residual.data.shape))
+            g = _unbroadcast(g, product_shape)
         _accumulate(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
@@ -314,7 +328,56 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             k, n = w.data.shape
             _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n))
 
-    return _make(data, (x, w, b), backward)
+    # the residual first, so a backward pass reaches it where it reached add's
+    return _make(data, (x, w, b) if residual is None else (residual, x, w, b), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention of heads [batch, heads, n, head_dim] as one
+    node: ``(mixed, weights)``.
+
+    ``weights`` [batch, heads, n, keys] is the softmax over the keys of
+    ``q @ k^T * scale``, returned as a constant record.  ``mixed``
+    [batch, n, heads * head_dim] is ``weights @ v`` with the heads merged
+    along the last axis.  Either side may have a batch of 1 that broadcasts
+    over the other's; ``k`` and ``v`` have one shape.
+
+    Forward and backward give the bits of the composed ``matmul``, ``mul``,
+    ``softmax``, ``matmul``, ``transpose`` and ``reshape``, in their order.
+    The scores are scaled in place, and the mix is written through a
+    transposed view straight into the merged layout, so the head merge is a
+    free reshape.  Backward keeps only the operands and the weights.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if (qd.ndim != 4 or kd.ndim != 4 or kd.shape != vd.shape
+            or qd.shape[1::2] != kd.shape[1::2]
+            or (qd.shape[0] != kd.shape[0] and 1 not in (qd.shape[0], kd.shape[0]))):
+        raise ValueError(f"attention expects q [b, h, n, d] and k, v [b, h, m, d], got "
+                         f"{qd.shape}, {kd.shape}, {vd.shape}")
+    batch = max(qd.shape[0], kd.shape[0])
+    _, heads, n, dim = qd.shape
+    scores = qd @ kd.swapaxes(-1, -2)
+    scores *= scale
+    weights = _softmax_data(scores, -1)
+    merged = np.empty((batch, n, heads, dim), dtype=np.result_type(weights, vd))
+    np.matmul(weights, vd, out=merged.transpose(0, 2, 1, 3))
+    data = merged.reshape(batch, n, heads * dim)
+
+    def backward(g):
+        # the transposed copy the head merge's backward made: [batch, heads, n, dim]
+        gm = g.reshape(batch, n, heads, dim).transpose(0, 2, 1, 3).copy()
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_grad(gm @ vd.swapaxes(-1, -2), weights, -1)
+            gs *= scale
+        if v.requires_grad:
+            _accumulate(v, _unbroadcast(weights.swapaxes(-1, -2) @ gm, vd.shape))
+        if q.requires_grad:
+            _accumulate(q, _unbroadcast(gs @ kd, qd.shape))
+        if k.requires_grad:
+            gkt = _unbroadcast(qd.swapaxes(-1, -2) @ gs, kd.swapaxes(-1, -2).shape)
+            _accumulate(k, gkt.swapaxes(-1, -2))
+
+    return _make(data, (q, k, v), backward), Tensor(weights)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:

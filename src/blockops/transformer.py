@@ -47,7 +47,8 @@ class TransformerConfig:
 
 @dataclass
 class AttentionTrace:
-    """Attention of one layer, kept on the autodiff graph like ``LayerTrace``.
+    """Attention of one layer.  ``weights`` is a constant record, off the
+    autodiff graph; ``output`` is the graph node of the residual stream.
 
     The first ``decoder_self`` layer has batch 1: every example shares its
     queries."""
@@ -65,7 +66,6 @@ class _Attention:
     is zero and Adam would only walk it on rounding noise."""
 
     def __init__(self, rng, width, heads, name):
-        self.width = width
         self.heads = heads
         self.head_dim = width // heads
         self.wq = _init_affine(rng, width, width)
@@ -80,19 +80,17 @@ class _Attention:
         return T.transpose(x, (0, 2, 1, 3))
 
     def forward(self, queries: Tensor, keys_values: Tensor):
-        # either side may have a leading batch of 1 that broadcasts over the
-        # other's, as the learned decoder queries do
+        """The residual stream ``queries`` plus its attention over
+        ``keys_values``, and the attention weights.  Either side may have a
+        leading batch of 1 that broadcasts over the other's, as the learned
+        decoder queries do."""
         q_batch, q_len, _ = queries.shape
         kv_batch, kv_len, _ = keys_values.shape
         q = self._split(T.affine(queries, *self.wq), q_batch, q_len)
         k = self._split(T.matmul(keys_values, self.wk), kv_batch, kv_len)
         v = self._split(T.affine(keys_values, *self.wv), kv_batch, kv_len)
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.head_dim))
-        weights = T.softmax(scores, axis=3)
-        mixed = T.matmul(weights, v)
-        batch = mixed.shape[0]
-        mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (batch, q_len, self.width))
-        return T.affine(mixed, *self.wo), weights
+        mixed, weights = T.attention(q, k, v, 1.0 / np.sqrt(self.head_dim))
+        return T.affine(mixed, *self.wo, residual=queries), weights
 
     def parameters(self):
         n = self.name
@@ -108,8 +106,9 @@ class _Ffn:
         self.name = name
 
     def forward(self, x: Tensor) -> Tensor:
+        """The residual stream ``x`` plus the FFN of it."""
         h = T.leaky_relu(T.affine(x, *self.l1))
-        return T.affine(h, *self.l2)
+        return T.affine(h, *self.l2, residual=x)
 
     def parameters(self):
         return {
@@ -150,26 +149,23 @@ class Transformer:
         if n != cfg.input_blocks or d != cfg.block_size:
             raise ValueError(
                 f"transformer expected [batch, {cfg.input_blocks}, {cfg.block_size}], got {blocks.shape}")
-        h = T.affine(blocks, *self.in_proj)
-        h = h + T.reshape(self.pos_embed, (1, cfg.input_blocks, cfg.model_width))
+        pos = T.reshape(self.pos_embed, (1, cfg.input_blocks, cfg.model_width))
+        h = T.affine(blocks, *self.in_proj, residual=pos)
         traces = []
         for attn, ffn in zip(self.enc_attn, self.enc_ffn):
-            a, w = attn.forward(h, h)
-            h = h + a
+            h, w = attn.forward(h, h)
             traces.append(AttentionTrace("encoder", w, h))
-            h = h + ffn.forward(h)
+            h = ffn.forward(h)
         # the queries are the same for every example, so the first decoder
         # self-attention runs once on [1, N, w]; the cross-attention and its
-        # residual add broadcast the stream to the batch
+        # residual broadcast the stream to the batch
         dec = T.reshape(self.queries, (1, cfg.output_blocks, cfg.model_width))
         for attn_s, attn_c, ffn in zip(self.dec_self, self.dec_cross, self.dec_ffn):
-            a, w = attn_s.forward(dec, dec)
-            dec = dec + a
+            dec, w = attn_s.forward(dec, dec)
             traces.append(AttentionTrace("decoder_self", w, dec))
-            a, w = attn_c.forward(dec, h)
-            dec = dec + a
+            dec, w = attn_c.forward(dec, h)
             traces.append(AttentionTrace("decoder_cross", w, dec))
-            dec = dec + ffn.forward(dec)
+            dec = ffn.forward(dec)
         return T.affine(dec, *self.out_proj), traces
 
     def parameters(self):

@@ -86,6 +86,23 @@ class TestRunCommand:
         assert not os.path.exists(tmp_path / "results")
 
     @pytest.mark.parametrize("override, message", [
+        ("model.num_heads=3", "model.model_width: 64 is not divisible by model.num_heads 3"),
+        ("model.model_width=0", "model.model_width: must be positive"),
+        ("model.num_heads=0", "model.num_heads: must be positive"),
+        ("model.ffn_width=0", "model.ffn_width: must be positive"),
+        ("model.encoder_layers=0", "model.encoder_layers: must be positive"),
+        ("model.decoder_layers=0", "model.decoder_layers: must be positive"),
+        ("model.stack_width=0", "model.stack_width: must be positive"),
+    ], ids=["indivisible-heads", "width", "heads", "ffn", "encoder", "decoder", "stack"])
+    def test_bad_model_size_is_a_usage_error(self, tmp_path, capsys, override, message):
+        # caught before the trial starts, so no aborted .part is left behind
+        kind = "smfr" if override.startswith("model.stack") else "transformer"
+        config, _ = write_config(tmp_path, model={"kind": kind})
+        assert main(["run", "--config", config, "--set", override]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "results")
+
+    @pytest.mark.parametrize("override, message", [
         ("optimizer.beta1=1.5", "optimizer.beta1: must be in [0, 1)"),
         ("optimizer.learning_rate=-0.1", "optimizer.learning_rate: must be positive"),
         ("clip_norm=NaN", "clip_norm: must be finite"),

@@ -748,6 +748,33 @@ def graph_nodes(root: Tensor) -> int:
     return count
 
 
+def _owner(array: np.ndarray) -> np.ndarray:
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def graph_bytes(root: Tensor, params) -> int:
+    """Bytes of the distinct buffers that the graph below ``root`` holds:
+    node data and the arrays its backward closures keep, the parameters'
+    buffers excluded."""
+    excluded = {id(_owner(p.data)) for p in params}
+    held, seen, stack = {}, set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        arrays = [node.data]
+        if node._backward_fn is not None:
+            arrays += [cell.cell_contents for cell in node._backward_fn.__closure__ or ()]
+        for array in arrays:
+            if isinstance(array, np.ndarray) and id(_owner(array)) not in excluded:
+                held[id(_owner(array))] = _owner(array).nbytes
+        stack.extend(node._parents)
+    return sum(held.values())
+
+
 class TestTrainingGraph:
     def test_smfr_training_loss_node_count(self, tmp_path, monkeypatch):
         # the benchmark's doubleadd SMFR model: each FNN layer is one affine
@@ -767,16 +794,14 @@ class TestTrainingGraph:
         run_trial(ExperimentConfig.from_dict(data))
         assert counts == [54]
 
-    def test_transformer_training_loss_node_count(self, tmp_path, monkeypatch):
-        # the benchmark's algo Transformer: each projection is one affine
-        # node, so splitting one into matmul and add raises the count, and
-        # the decoder starts from the shared queries, so tiling them to the
-        # batch adds a node per unrolled iteration
-        counts = []
+    def transformer_training_loss(self, tmp_path, monkeypatch):
+        """The loss of one training step of the benchmark's algo Transformer,
+        and the trial's parameters."""
+        steps = []
         backward = Tensor.backward
 
         def spy(loss, params=None):
-            counts.append(graph_nodes(loss))
+            steps.append((loss, list(params)))
             return backward(loss, params)
 
         monkeypatch.setattr(Tensor, "backward", spy)
@@ -784,7 +809,26 @@ class TestTrainingGraph:
         data = tiny_config(tmp_path, experiment="algo", batch_size=64, max_steps=1,
                            eval_every=1, model=EVAL_MODELS["transformer"])
         run_trial(ExperimentConfig.from_dict(data))
-        assert counts == [137]
+        (step,) = steps
+        return step
+
+    def test_transformer_training_loss_node_count(self, tmp_path, monkeypatch):
+        # the benchmark's algo Transformer: each projection is one affine
+        # node that also adds its residual, each attention one attention
+        # node, so splitting either again raises the count, and the decoder
+        # starts from the shared queries, so tiling them to the batch adds a
+        # node per unrolled iteration
+        loss, _ = self.transformer_training_loss(tmp_path, monkeypatch)
+        assert graph_nodes(loss) == 89
+
+    def test_transformer_training_graph_bytes(self, tmp_path, monkeypatch):
+        # the arrays a training step's graph keeps alive until the next
+        # step's graph is built: every node's data and every array a
+        # backward closure holds, each buffer counted once, the parameters'
+        # flat buffer left out.  Keeping the scores, the per-head mix or a
+        # pre-residual product again raises it
+        loss, params = self.transformer_training_loss(tmp_path, monkeypatch)
+        assert graph_bytes(loss, params) <= 7_884_872
 
 
 def metrics_records(cfg):
@@ -1027,6 +1071,12 @@ class TestGrid:
         # the second cell is invalid; nothing may run for the first
         spec = GridSpec(base={"max_steps": 1}, axes={"batch_size": [8, -1]})
         with pytest.raises(ConfigError, match="batch_size: must be positive"):
+            spec.validate()
+
+    def test_a_cell_with_invalid_model_sizes_is_rejected_before_any_trial(self):
+        spec = GridSpec(base={"max_steps": 1, "model": {"kind": "transformer"}},
+                        axes={"model.num_heads": [4, 3]})
+        with pytest.raises(ConfigError, match="not divisible by model.num_heads 3"):
             spec.validate()
 
     def test_from_json_rejects_unknown_grid_key(self):

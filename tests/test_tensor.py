@@ -493,6 +493,142 @@ class TestFusedOps:
         assert fused.grad.tobytes() == split.grad.tobytes()
         assert np.any(fused.grad != 0.0) and np.any(fused.grad == 0.0)
 
+    RESIDUALS = {"same": ((3, 5, 4), (3, 5, 2)), "broadcast": ((3, 5, 4), (1, 5, 2)),
+                 "product_broadcasts": ((1, 5, 4), (3, 5, 2))}
+
+    @pytest.mark.parametrize("shapes", list(RESIDUALS.values()), ids=list(RESIDUALS))
+    def test_affine_residual_is_bitwise_add_of_the_residual(self, shapes):
+        x_shape, r_shape = shapes
+        rng = np.random.default_rng(8)
+        arrays = [rng.normal(size=x_shape), rng.normal(size=(4, 2)), rng.normal(size=(2,)),
+                  rng.normal(size=r_shape)]
+        c = T.tensor(rng.normal(size=np.broadcast_shapes(x_shape[:-1] + (2,), r_shape)))
+        fused = [T.parameter(a.copy()) for a in arrays]
+        split = [T.parameter(a.copy()) for a in arrays]
+        # the residual as an intermediate node, as the residual stream is
+        out_f = T.affine(*fused[:3], residual=T.mul(fused[3], T.tensor(1.5)))
+        out_s = T.add(T.mul(split[3], T.tensor(1.5)), T.affine(*split[:3]))
+        assert out_f.data.tobytes() == out_s.data.tobytes()
+        T.sum_all(T.mul(out_f, c)).backward(params=fused)
+        T.sum_all(T.mul(out_s, c)).backward(params=split)
+        for f, s in zip(fused, split):
+            assert f.grad.tobytes() == s.grad.tobytes()
+
+    def test_affine_residual_keeps_add_order_into_a_shared_ancestor(self):
+        # p reaches the node through the residual and through two products
+        # in x, as the residual stream reaches a layer; three gradients
+        # summed in another order round differently
+        rng = np.random.default_rng(13)
+        arrays = [rng.normal(size=(3, 5, 2)), rng.normal(size=(4, 2)), rng.normal(size=(2,))]
+        c = T.tensor(rng.normal(size=(3, 5, 2)))
+        grads = []
+        for fused in (True, False):
+            p, w, b = (T.parameter(a.copy()) for a in arrays)
+            r = T.mul(p, T.tensor(1.5))
+            x = T.concat([T.mul(p, T.tensor(2.0)), T.mul(p, T.tensor(0.3))], axis=2)
+            out = (T.affine(x, w, b, residual=r) if fused
+                   else T.add(r, T.affine(x, w, b)))
+            T.sum_all(T.mul(out, c)).backward(params=[p, w, b])
+            grads.append(p.grad.tobytes())
+        assert grads[0] == grads[1]
+
+    def test_affine_residual_matches_finite_differences(self):
+        rng = np.random.default_rng(9)
+        arrays = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(2,)),
+                  rng.normal(size=(1, 3, 2))]
+        c = T.tensor(rng.normal(size=(2, 3, 2)))
+        err = grad_check(lambda x, w, b, r: T.sum_all(T.mul(T.affine(x, w, b, residual=r), c)),
+                         arrays)
+        assert err < 1e-6
+
+    # query and key/value batches: both B, batch-1 queries, batch 1 on both
+    # sides, and batch-1 keys/values
+    ATTENTION_BATCHES = {"both": (3, 3), "queries_1": (1, 3), "both_1": (1, 1),
+                         "keys_values_1": (3, 1)}
+
+    @staticmethod
+    def split_heads(x, heads):
+        # [b, n, width] -> [b, heads, n, head_dim], as the Transformer splits
+        b, n, width = x.shape
+        return T.transpose(T.reshape(x, (b, n, heads, width // heads)), (0, 2, 1, 3))
+
+    @pytest.mark.parametrize("batches", list(ATTENTION_BATCHES.values()),
+                             ids=list(ATTENTION_BATCHES))
+    def test_attention_is_bitwise_the_composed_ops(self, batches):
+        q_batch, kv_batch = batches
+        heads, dim, scale = 2, 3, 1.0 / np.sqrt(3)
+        rng = np.random.default_rng(10)
+        arrays = [rng.normal(size=(q_batch, 4, heads * dim)),
+                  rng.normal(size=(kv_batch, 5, heads * dim)),
+                  rng.normal(size=(kv_batch, 5, heads * dim))]
+        c = T.tensor(rng.normal(size=(max(batches), 4, heads * dim)))
+        fused = [T.parameter(a.copy()) for a in arrays]
+        split = [T.parameter(a.copy()) for a in arrays]
+        q, k, v = (self.split_heads(x, heads) for x in fused)
+        out_f, weights_f = T.attention(q, k, v, scale)
+        q, k, v = (self.split_heads(x, heads) for x in split)
+        weights_s = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale, axis=3)
+        mixed = T.transpose(T.matmul(weights_s, v), (0, 2, 1, 3))
+        out_s = T.reshape(mixed, (max(batches), 4, heads * dim))
+        assert out_f.data.tobytes() == out_s.data.tobytes()
+        assert weights_f.data.tobytes() == weights_s.data.tobytes()
+        T.sum_all(T.mul(out_f, c)).backward(params=fused)
+        T.sum_all(T.mul(out_s, c)).backward(params=split)
+        # each operand's gradient reaches its parameter through the exact
+        # moves of the head split
+        for f, s in zip(fused, split):
+            assert f.grad.tobytes() == s.grad.tobytes()
+
+    def test_attention_keeps_the_composed_order_into_a_shared_input(self):
+        # self-attention: q, k and v all reach back to x, whose three
+        # gradients summed in another order round differently
+        rng = np.random.default_rng(14)
+        data = rng.normal(size=(2, 4, 6))
+        c = T.tensor(rng.normal(size=(2, 4, 6)))
+        grads = []
+        for fused in (True, False):
+            x = T.parameter(data.copy())
+            q, k, v = (self.split_heads(T.mul(x, T.tensor(s)), 2) for s in (0.7, 1.3, 2.1))
+            if fused:
+                out = T.attention(q, k, v, 0.5)[0]
+            else:
+                weights = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * 0.5, axis=3)
+                out = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (2, 4, 6))
+            T.sum_all(T.mul(out, c)).backward(params=[x])
+            grads.append(x.grad.tobytes())
+        assert grads[0] == grads[1]
+
+    def test_attention_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        arrays = [rng.normal(size=(1, 3, 4)), rng.normal(size=(2, 4, 4)),
+                  rng.normal(size=(2, 4, 4))]
+        c = T.tensor(rng.normal(size=(2, 3, 4)))
+
+        def loss(xq, xk, xv):
+            q, k, v = (self.split_heads(x, 2) for x in (xq, xk, xv))
+            return T.sum_all(T.mul(T.attention(q, k, v, 0.7)[0], c))
+
+        assert grad_check(loss, arrays) < 1e-6
+
+    def test_attention_weights_are_a_constant_record(self):
+        rng = np.random.default_rng(12)
+        q, k, v = (T.parameter(rng.normal(size=(2, 2, n, 3))) for n in (4, 5, 5))
+        out, weights = T.attention(q, k, v, 0.5)
+        assert out.requires_grad and out._parents == (q, k, v)
+        assert not weights.requires_grad
+        assert weights._parents == () and weights._backward_fn is None
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 3)),     # 3-D queries
+        ((2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 6, 3)),  # keys and values differ
+        ((2, 2, 4, 3), (2, 3, 5, 3), (2, 3, 5, 3)),  # heads differ
+        ((2, 2, 4, 3), (2, 2, 5, 2), (2, 2, 5, 2)),  # head dims differ
+        ((2, 2, 4, 3), (3, 2, 5, 3), (3, 2, 5, 3)),  # batches do not broadcast
+    ], ids=["3d", "keys_values", "heads", "head_dim", "batch"])
+    def test_attention_rejects_mismatched_shapes(self, shapes):
+        with pytest.raises(ValueError):
+            T.attention(*(T.tensor(np.ones(shape)) for shape in shapes), 1.0)
+
 
 # values whose bits the one-allocation ops must keep: signed zeros,
 # infinities, NaN, subnormals and ordinary numbers of both signs

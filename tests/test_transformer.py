@@ -25,7 +25,8 @@ class TestAttention:
 
     def test_single_source_token_reduces_to_value_path(self):
         # one key/value token forces attention weight 1, so the output is just
-        # the value projection followed by the output projection
+        # the value projection followed by the output projection, added to
+        # the residual stream of the queries
         attn = _Attention(np.random.default_rng(2), width=6, heads=1, name="a")
         rng = np.random.default_rng(3)
         q = rng.normal(size=(2, 2, 6))
@@ -33,8 +34,8 @@ class TestAttention:
         out, weights = attn.forward(T.tensor(q), T.tensor(kv))
         assert np.all(weights.data == 1.0)
         v = kv @ attn.wv[0].data + attn.wv[1].data
-        expected = v @ attn.wo[0].data + attn.wo[1].data
-        assert np.allclose(out.data, np.broadcast_to(expected, out.data.shape), atol=1e-12)
+        expected = q + (v @ attn.wo[0].data + attn.wo[1].data)
+        assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_bias_free_keys_match_a_zero_key_bias_bitwise(self, monkeypatch):
         attn = _Attention(np.random.default_rng(4), width=8, heads=2, name="a")
@@ -193,9 +194,9 @@ class TestBatchInvariance:
         leading = {}
 
         def spying(op):
-            def spy(x, w, *bias):
+            def spy(x, w, *bias, **residual):
                 leading.setdefault(id(w), []).append(x.shape[0])
-                return op(x, w, *bias)
+                return op(x, w, *bias, **residual)
             return spy
 
         # the key projection is a bias-free matmul, the others are affine
