@@ -59,6 +59,8 @@ def load_checkpoint(path: str):
         if foreign:
             raise CheckpointError(f"{path}: members {foreign} are not arrays")
         config = json.loads(str(tensors.pop(CONFIG_MEMBER)))
+        if not isinstance(config, dict):
+            raise CheckpointError(f"{path}: {CONFIG_MEMBER} is not a JSON object")
     except (FileNotFoundError, CheckpointError):
         raise
     except (EOFError, ValueError, zipfile.BadZipFile, OSError) as e:

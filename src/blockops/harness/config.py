@@ -90,7 +90,6 @@ class BpmnistOptions:
     indicator: bool = True
     eval_subset: int = 1024
     probe_size: int = 512
-    head_from_block: int = 0
 
 
 @dataclass
@@ -168,12 +167,18 @@ class ExperimentConfig:
                 raise ConfigError(f"model.{listfield}: must be a list of positive ints, got {v!r}")
         if self.bpmnist.scale <= 0:
             raise ConfigError(f"bpmnist.scale: must be positive, got {self.bpmnist.scale}")
-        if self.variants.bias and self.model.kind != "smfr":
-            raise ConfigError("variants.bias: only applies to model.kind smfr")
+        if self.variants.bias and (self.model.kind != "smfr" or self.experiment != "bpmnist"):
+            raise ConfigError("variants.bias: only applies to model.kind smfr on the bpmnist "
+                              "experiment")
         if self.variants.no_context and self.model.kind != "smfr":
             raise ConfigError("variants.no_context: only applies to model.kind smfr")
         if self.variants.noisy_permutation and self.experiment != "algo":
             raise ConfigError("variants.noisy_permutation: only applies to the algo experiment")
+        if self.variants.alternate_split and self.experiment not in ("addmul", "doubleadd"):
+            raise ConfigError(
+                "variants.alternate_split: only applies to the addmul and doubleadd experiments")
+        if self.loss_per_step and self.experiment != "algo":
+            raise ConfigError("loss_per_step: only applies to the algo experiment")
         return self
 
     def to_dict(self) -> dict:
@@ -196,31 +201,19 @@ def json_object(text: str, what: str) -> dict:
     return data
 
 
-_LEAF_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean", list: "list"}
+# the JSON types a leaf field accepts, and their name in an error; an int is
+# a number too, while a bool, though an int in Python, is neither
+_LEAF_TYPES = {int: ((int,), "integer"), float: ((int, float), "number"),
+               str: ((str,), "string"), bool: ((bool,), "boolean"), list: ((list,), "list")}
 
 
 def _coerce_leaf(value, annot, path: str):
-    if annot is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected number, got {type(value).__name__}")
-        return float(value)
-    if annot is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected integer, got {type(value).__name__}")
-        return value
-    if annot is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected boolean, got {type(value).__name__}")
-        return value
-    if annot is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected string, got {type(value).__name__}")
-        return value
-    if annot is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected list, got {type(value).__name__}")
-        return list(value)
-    raise ConfigError(f"{path}: unsupported field type {annot!r}")
+    if annot not in _LEAF_TYPES:
+        raise ConfigError(f"{path}: unsupported field type {annot!r}")
+    accepted, name = _LEAF_TYPES[annot]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and annot is not bool):
+        raise ConfigError(f"{path}: expected {name}, got {type(value).__name__}")
+    return annot(value)
 
 
 def _from_dict(cls, data: dict, path: str):

@@ -137,13 +137,10 @@ class ModelBundle:
 
     def logits(self, out_blocks: Tensor) -> Tensor:
         """Classification logits: blocks directly for digit tasks, affine head
-        over one block for the image task."""
+        over the single output block for the image task."""
         if self.head is None:
             return out_blocks
-        block = T.slice_axis(out_blocks, 1, self.cfg.bpmnist.head_from_block,
-                             self.cfg.bpmnist.head_from_block + 1)
-        flat = T.reshape(block, (out_blocks.shape[0], self.shape[2]))
-        return self.head.forward(flat)
+        return self.head.forward(T.reshape(out_blocks, (out_blocks.shape[0], self.shape[2])))
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params.values())

@@ -265,11 +265,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of the trailing two axes; leading axes broadcast.
 
-    Covers the plain 2-D case as well as the batched forms used by block
-    mixing ([batch, N, M] @ [batch, M, d]) and attention heads.  Backward
-    forms only the gradients of operands that require one; a 2-D ``b`` under
-    a batched ``a`` (a weight applied to every token) gets its gradient as
-    one 2-D product over the flattened leading axes.
+    Covers the plain 2-D case as well as the batched form used by block
+    mixing ([batch, N, M] @ [batch, M, d]).  A weight applied to every token
+    is an ``affine``.  Backward forms only the gradients of operands that
+    require one.
     """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
@@ -280,48 +279,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        if not b.requires_grad:
-            return
-        if b.data.ndim == 2 and a.data.ndim > 2:
-            k, n = b.data.shape
-            _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
-        else:
+        if b.requires_grad:
             _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _make(data, (a, b), backward)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> Tensor:
-    """``x @ w + b`` for ``x`` of shape [..., k], a 2-D ``w`` and a 1-D ``b``,
-    as one node; with ``residual``, ``residual + (x @ w + b)``.
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None,
+           residual: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` for ``x`` of shape [..., k], a 2-D ``w`` and an optional
+    1-D ``b``, as one node; with ``residual``, ``residual + (x @ w + b)``.
 
-    Forward and backward give the bits of ``add(matmul(x, w), b)``: the bias
-    is added in place to the fresh product, the bias gradient is ``g``
-    summed over every leading axis, and a batched ``x`` gets its weight
-    gradient as one 2-D product over the flattened leading axes.  A residual
-    gives the bits of ``add(residual, affine(x, w, b))``: it is added in
-    place when it broadcasts to the product, and it gets its gradient first,
-    ahead of the product's operands, as that ``add`` would give it.
+    The bias is added in place to the fresh product and its gradient is
+    ``g`` summed over every leading axis, so a 2-D ``x`` gives the bits of
+    ``add(matmul(x, w), b)``.  A batched ``x`` gets its weight gradient as
+    one 2-D product over the flattened leading axes.  A residual must
+    broadcast to the product.  It gives the bits of ``add(residual,
+    affine(x, w, b))``: it is added in place, and it gets its gradient
+    first, ahead of the product's operands, as that ``add`` would give it.
     """
     if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
-            or b.data.shape != w.data.shape[1:]):
+            or (b is not None and b.data.shape != w.data.shape[1:])):
         raise ValueError(f"affine expects [..., k] @ [k, m] + [m], got {x.data.shape} @ "
-                         f"{w.data.shape} + {b.data.shape}")
+                         f"{w.data.shape} + {None if b is None else b.data.shape}")
     data = x.data @ w.data
-    data += b.data
-    product_shape = data.shape
+    if b is not None:
+        data += b.data
     if residual is not None:
-        if np.broadcast_shapes(residual.data.shape, product_shape) == product_shape:
-            data += residual.data
-        else:
-            data = residual.data + data
+        if np.broadcast_shapes(residual.data.shape, data.shape) != data.shape:
+            raise ValueError(f"affine residual {residual.data.shape} does not broadcast "
+                             f"to the product {data.shape}")
+        data += residual.data
 
     def backward(g):
-        if residual is not None:
-            if residual.requires_grad:
-                _accumulate(residual, _unbroadcast(g, residual.data.shape))
-            g = _unbroadcast(g, product_shape)
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if residual is not None and residual.requires_grad:
+            _accumulate(residual, _unbroadcast(g, residual.data.shape))
+        if b is not None:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
         if w.requires_grad:
@@ -329,53 +323,66 @@ def affine(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> T
             _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n))
 
     # the residual first, so a backward pass reaches it where it reached add's
-    return _make(data, (x, w, b) if residual is None else (residual, x, w, b), backward)
+    parents = (x, w) if b is None else (x, w, b)
+    return _make(data, parents if residual is None else (residual, *parents), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention of heads [batch, heads, n, head_dim] as one
-    node: ``(mixed, weights)``.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tensor]:
+    """Multi-head scaled dot-product attention as one node: ``(mixed, weights)``
+    for queries ``q`` [batch, n, width] and keys and values ``k``, ``v``
+    [batch, m, width], split into ``heads`` heads of ``width // heads``.
 
-    ``weights`` [batch, heads, n, keys] is the softmax over the keys of
-    ``q @ k^T * scale``, returned as a constant record.  ``mixed``
-    [batch, n, heads * head_dim] is ``weights @ v`` with the heads merged
-    along the last axis.  Either side may have a batch of 1 that broadcasts
-    over the other's; ``k`` and ``v`` have one shape.
+    ``weights`` [batch, heads, n, m], a constant record, is the softmax over
+    the keys of each head's ``q @ k^T / sqrt(width // heads)``; ``mixed``
+    [batch, n, width] is ``weights @ v`` with the heads merged.  Either side
+    may have a batch of 1 that broadcasts over the other's.
 
-    Forward and backward give the bits of the composed ``matmul``, ``mul``,
-    ``softmax``, ``matmul``, ``transpose`` and ``reshape``, in their order.
-    The scores are scaled in place, and the mix is written through a
-    transposed view straight into the merged layout, so the head merge is a
-    free reshape.  Backward keeps only the operands and the weights.
+    Forward and backward give the bits of the composed head split
+    (``reshape``, ``transpose``), ``matmul``, ``mul``, ``softmax``,
+    ``matmul`` and head merge, in their order.  The split and the merge of
+    the mix are views.  Each operand gets its gradient in the model layout,
+    in the order q, k, v, as the split nodes gave it.  Backward keeps only
+    the operands and the weights.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if (qd.ndim != 4 or kd.ndim != 4 or kd.shape != vd.shape
-            or qd.shape[1::2] != kd.shape[1::2]
+    if (qd.ndim != 3 or kd.ndim != 3 or kd.shape != vd.shape or qd.shape[2] != kd.shape[2]
+            or qd.shape[2] % heads
             or (qd.shape[0] != kd.shape[0] and 1 not in (qd.shape[0], kd.shape[0]))):
-        raise ValueError(f"attention expects q [b, h, n, d] and k, v [b, h, m, d], got "
-                         f"{qd.shape}, {kd.shape}, {vd.shape}")
+        raise ValueError(f"attention expects q [b, n, w] and k, v [b, m, w] with w divisible "
+                         f"by {heads} heads, got {qd.shape}, {kd.shape}, {vd.shape}")
     batch = max(qd.shape[0], kd.shape[0])
-    _, heads, n, dim = qd.shape
-    scores = qd @ kd.swapaxes(-1, -2)
+    n, width = qd.shape[1:]
+    dim = width // heads
+    scale = 1.0 / np.sqrt(dim)
+
+    def split(x):
+        # [b, s, width] -> [b, heads, s, dim], a view
+        return x.reshape(x.shape[0], x.shape[1], heads, dim).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        # [b, heads, s, dim] -> [b, s, width]
+        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], width)
+
+    qh, kh, vh = split(qd), split(kd), split(vd)
+    scores = qh @ kh.swapaxes(-1, -2)
     scores *= scale
     weights = _softmax_data(scores, -1)
-    merged = np.empty((batch, n, heads, dim), dtype=np.result_type(weights, vd))
-    np.matmul(weights, vd, out=merged.transpose(0, 2, 1, 3))
-    data = merged.reshape(batch, n, heads * dim)
+    data = np.empty((batch, n, width), dtype=np.result_type(weights, vd))
+    np.matmul(weights, vh, out=split(data))
 
     def backward(g):
-        # the transposed copy the head merge's backward made: [batch, heads, n, dim]
-        gm = g.reshape(batch, n, heads, dim).transpose(0, 2, 1, 3).copy()
+        # the contiguous copy the composed head merge's backward made
+        gm = split(g).copy()
         if q.requires_grad or k.requires_grad:
-            gs = _softmax_grad(gm @ vd.swapaxes(-1, -2), weights, -1)
+            gs = _softmax_grad(gm @ vh.swapaxes(-1, -2), weights, -1)
             gs *= scale
-        if v.requires_grad:
-            _accumulate(v, _unbroadcast(weights.swapaxes(-1, -2) @ gm, vd.shape))
         if q.requires_grad:
-            _accumulate(q, _unbroadcast(gs @ kd, qd.shape))
+            _accumulate(q, merge(_unbroadcast(gs @ kh, qh.shape)))
         if k.requires_grad:
-            gkt = _unbroadcast(qd.swapaxes(-1, -2) @ gs, kd.swapaxes(-1, -2).shape)
-            _accumulate(k, gkt.swapaxes(-1, -2))
+            gkt = _unbroadcast(qh.swapaxes(-1, -2) @ gs, kh.swapaxes(-1, -2).shape)
+            _accumulate(k, merge(gkt.swapaxes(-1, -2)))
+        if v.requires_grad:
+            _accumulate(v, merge(_unbroadcast(weights.swapaxes(-1, -2) @ gm, vh.shape)))
 
     return _make(data, (q, k, v), backward), Tensor(weights)
 

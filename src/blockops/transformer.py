@@ -67,29 +67,21 @@ class _Attention:
 
     def __init__(self, rng, width, heads, name):
         self.heads = heads
-        self.head_dim = width // heads
         self.wq = _init_affine(rng, width, width)
         self.wk = _init_affine(rng, width, width)[0]
         self.wv = _init_affine(rng, width, width)
         self.wo = _init_affine(rng, width, width)
         self.name = name
 
-    def _split(self, x: Tensor, batch, seq):
-        # [batch, seq, width] -> [batch, heads, seq, head_dim]
-        x = T.reshape(x, (batch, seq, self.heads, self.head_dim))
-        return T.transpose(x, (0, 2, 1, 3))
-
     def forward(self, queries: Tensor, keys_values: Tensor):
         """The residual stream ``queries`` plus its attention over
         ``keys_values``, and the attention weights.  Either side may have a
         leading batch of 1 that broadcasts over the other's, as the learned
         decoder queries do."""
-        q_batch, q_len, _ = queries.shape
-        kv_batch, kv_len, _ = keys_values.shape
-        q = self._split(T.affine(queries, *self.wq), q_batch, q_len)
-        k = self._split(T.matmul(keys_values, self.wk), kv_batch, kv_len)
-        v = self._split(T.affine(keys_values, *self.wv), kv_batch, kv_len)
-        mixed, weights = T.attention(q, k, v, 1.0 / np.sqrt(self.head_dim))
+        q = T.affine(queries, *self.wq)
+        k = T.affine(keys_values, self.wk)
+        v = T.affine(keys_values, *self.wv)
+        mixed, weights = T.attention(q, k, v, self.heads)
         return T.affine(mixed, *self.wo, residual=queries), weights
 
     def parameters(self):

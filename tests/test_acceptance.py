@@ -166,14 +166,9 @@ BPMNIST_PLAIN = _bpmnist_arm(False)
 # ------------------------------------------------------------ fast gates
 
 
-def test_every_op_matches_finite_differences():
-    """All smooth ops and a full width-2 depth-1 stack at rel err < 1e-3.
-
-    The straight-through ops (hard argmax, Gumbel sampling) are excluded
-    by construction: their forward is not differentiable and their custom
-    backward contracts are pinned by the unit tests instead.
-    """
-    rng = np.random.default_rng(0)
+def op_cases(rng):
+    """One (name, loss, input arrays) finite-difference case per smooth op,
+    drawn from ``rng``."""
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
     row = rng.normal(size=(4,))
@@ -195,13 +190,18 @@ def test_every_op_matches_finite_differences():
     w38 = rng.normal(size=(3, 8))
     w212 = rng.normal(size=(2, 12))
     w232 = rng.normal(size=(2, 3, 2))
-    # its own stream, so every earlier case keeps its draws
+    # their own streams, so every earlier case keeps its draws
     w235 = np.random.default_rng(2).normal(size=(2, 3, 5))
+    extra = np.random.default_rng(3)
+    residual135 = extra.normal(size=(1, 3, 5))
+    queries134 = extra.normal(size=(1, 3, 4))
+    keys254 = extra.normal(size=(2, 5, 4))
+    values254 = extra.normal(size=(2, 5, 4))
 
     def weighted(op_result, w):
         return T.sum_all(T.mul(op_result, T.tensor(w)))
 
-    cases = [
+    return [
         ("add", lambda p, q: weighted(T.add(p, q), w34), [a, b]),
         ("add_broadcast", lambda p, q: weighted(T.add(p, q), w34), [a, row]),
         ("sub", lambda p, q: weighted(T.sub(p, q), w34), [a, b]),
@@ -221,7 +221,50 @@ def test_every_op_matches_finite_differences():
         ("concat", lambda p, q: weighted(T.concat([p, q], axis=1), w38), [a, b]),
         ("slice", lambda p: weighted(T.slice_axis(p, 2, 1, 3), w232), [x3]),
         ("sum_all", lambda p: T.sum_all(p), [a]),
+        ("affine_no_bias", lambda p, q: weighted(T.affine(p, q), w235), [x3, m2]),
+        ("affine_residual", lambda p, q, r, s: weighted(T.affine(p, q, r, residual=s), w235),
+         [x3, m2, bias5, residual135]),
+        # a batch-1 query side under batch-2 keys and values, 2 heads of 2
+        ("attention", lambda p, q, r: weighted(T.attention(p, q, r, 2)[0], w234),
+         [queries134, keys254, values254]),
     ]
+
+
+# constructors and the context manager are not ops, and the straight-through
+# Gumbel sample has no finite-difference gradient: its backward contract is
+# pinned by the unit tests
+NOT_FD_CHECKED = {"Tensor", "tensor", "parameter", "no_grad", "gumbel_softmax_st"}
+
+
+def test_every_differentiable_op_has_a_finite_difference_case(monkeypatch):
+    checked = set()
+
+    def spying(name, op):
+        def spy(*args, **kwargs):
+            out = op(*args, **kwargs)
+            if (out[0] if isinstance(out, tuple) else out).requires_grad:
+                checked.add(name)
+            return out
+        return spy
+
+    ops = sorted(set(T.__all__) - NOT_FD_CHECKED)
+    for name in ops:
+        monkeypatch.setattr(T, name, spying(name, getattr(T, name)))
+    for _, make_loss, arrays in op_cases(np.random.default_rng(0)):
+        make_loss(*(T.parameter(a) for a in arrays))
+    missing = sorted(set(ops) - checked)
+    assert not missing, f"no finite-difference case differentiates {missing}"
+
+
+def test_every_op_matches_finite_differences():
+    """All smooth ops and a full width-2 depth-1 stack at rel err < 1e-3.
+
+    The straight-through ops (hard argmax, Gumbel sampling) are excluded
+    by construction: their forward is not differentiable and their custom
+    backward contracts are pinned by the unit tests instead.
+    """
+    rng = np.random.default_rng(0)
+    cases = op_cases(rng)
     worst_op, worst_name = 0.0, ""
     for name, make_loss, arrays in cases:
         err = grad_check(make_loss, arrays)

@@ -120,6 +120,12 @@ def missing_config(path):
         np.savez(fh, **{"layer.w": np.zeros(3)})
 
 
+def config_not_an_object(path):
+    # valid JSON, but a number where the config echo's object belongs
+    with open(path, "wb") as fh:
+        np.savez(fh, **{"layer.w": np.zeros(3), CONFIG: np.array("3")})
+
+
 class TestCorruption:
     def test_truncated_file_is_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -136,7 +142,7 @@ class TestCorruption:
 
     @pytest.mark.parametrize("write", [
         foreign_bytes, flipped_tensor_byte, unknown_descr, object_array,
-        too_short_for_shape, foreign_member, bare_npy, missing_config,
+        too_short_for_shape, foreign_member, bare_npy, missing_config, config_not_an_object,
     ], ids=lambda f: f.__name__)
     def test_unreadable_file_names_the_path(self, tmp_path, write):
         path = tmp_path / "model.ckpt"

@@ -298,6 +298,13 @@ class TestInspectCommand:
         assert main(["inspect", "--checkpoint", ckpt]) == 1
         assert ckpt in capsys.readouterr().err
 
+    def test_checkpoint_whose_config_is_not_an_object(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "number.ckpt")
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, w=np.zeros(2), __config__=np.array("3"))
+        assert main(["inspect", "--checkpoint", ckpt]) == 1
+        assert ckpt in capsys.readouterr().err
+
     def test_model_without_routing(self, tmp_path, capsys):
         ckpt = self.checkpoint_from_trial(tmp_path, capsys, kind="fnn")
         assert main(["inspect", "--checkpoint", ckpt]) == 1

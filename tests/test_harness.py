@@ -173,6 +173,26 @@ class TestConfigValidation:
         cfg.variants.noisy_permutation = True
         with pytest.raises(ConfigError, match="noisy_permutation"):
             cfg.validate()
+        # each flag below trains exactly what the config without it trains
+        for experiment in ("addmul", "doubleadd", "algo"):
+            cfg = ExperimentConfig(experiment=experiment)
+            cfg.variants.bias = True
+            with pytest.raises(ConfigError, match="variants.bias"):
+                cfg.validate()
+        for experiment in ("addmul", "doubleadd", "bpmnist"):
+            with pytest.raises(ConfigError, match="loss_per_step"):
+                ExperimentConfig(experiment=experiment, loss_per_step=True).validate()
+        for experiment in ("algo", "bpmnist"):
+            cfg = ExperimentConfig(experiment=experiment)
+            cfg.variants.alternate_split = True
+            with pytest.raises(ConfigError, match="alternate_split"):
+                cfg.validate()
+        # and where each applies, it validates
+        for experiment, edits in [("bpmnist", {"variants": {"bias": True}}),
+                                  ("algo", {"loss_per_step": True}),
+                                  ("addmul", {"variants": {"alternate_split": True}}),
+                                  ("doubleadd", {"variants": {"alternate_split": True}})]:
+            ExperimentConfig.from_dict({"experiment": experiment, **edits}).validate()
 
     def test_from_json_errors(self):
         with pytest.raises(ConfigError, match="config is not valid JSON"):
@@ -819,7 +839,7 @@ class TestTrainingGraph:
         # starts from the shared queries, so tiling them to the batch adds a
         # node per unrolled iteration
         loss, _ = self.transformer_training_loss(tmp_path, monkeypatch)
-        assert graph_nodes(loss) == 89
+        assert graph_nodes(loss) == 53
 
     def test_transformer_training_graph_bytes(self, tmp_path, monkeypatch):
         # the arrays a training step's graph keeps alive until the next
@@ -1078,6 +1098,20 @@ class TestGrid:
                         axes={"model.num_heads": [4, 3]})
         with pytest.raises(ConfigError, match="not divisible by model.num_heads 3"):
             spec.validate()
+
+    @pytest.mark.parametrize("base, axis", [
+        ({"experiment": "doubleadd"}, {"variants.bias": [False, True]}),
+        ({"experiment": "algo"}, {"variants.alternate_split": [False, True]}),
+        ({"experiment": "doubleadd"}, {"loss_per_step": [False, True]}),
+    ], ids=["bias", "alternate_split", "loss_per_step"])
+    def test_a_cell_with_a_flag_that_does_nothing_is_rejected_before_any_trial(
+            self, tmp_path, base, axis):
+        results = tmp_path / "results"
+        spec = GridSpec(base={**base, "max_steps": 1, "results_dir": str(results)},
+                        axes=axis)
+        with pytest.raises(ConfigError, match="only applies"):
+            grid_search(spec)
+        assert not results.exists()
 
     def test_from_json_rejects_unknown_grid_key(self):
         with pytest.raises(ConfigError, match="spam"):

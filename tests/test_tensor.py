@@ -66,8 +66,8 @@ class TestMatmul:
         assert err < 1e-4
 
     def test_four_d_times_weight_gradient(self):
-        # attention heads: [batch, heads, seq, k] @ [k, n]; b's gradient folds
-        # every leading axis of a into one 2-D product
+        # [batch, heads, seq, k] @ [k, n]; b's gradient sums over every
+        # leading axis of a
         rng = np.random.default_rng(3)
         a = rng.normal(size=(2, 3, 4, 5))
         b = rng.normal(size=(5, 6))
@@ -463,13 +463,33 @@ class TestFusedOps:
         fused = [T.parameter(a.copy()) for a in arrays]
         split = [T.parameter(a.copy()) for a in arrays]
         # x as an intermediate node too, so its gradient flows on
-        out_f = T.affine(T.mul(fused[0], T.tensor(1.5)), fused[1], fused[2])
+        x = T.mul(fused[0], T.tensor(1.5))
+        out_f = T.affine(x, fused[1], fused[2])
         out_s = T.add(T.matmul(T.mul(split[0], T.tensor(1.5)), split[1]), split[2])
         assert out_f.data.tobytes() == out_s.data.tobytes()
         T.sum_all(T.mul(out_f, c)).backward(params=fused)
         T.sum_all(T.mul(out_s, c)).backward(params=split)
-        for f, s in zip(fused, split):
-            assert f.grad.tobytes() == s.grad.tobytes()
+        for i in (0, 2):
+            assert fused[i].grad.tobytes() == split[i].grad.tobytes()
+        # the weight gradient is one 2-D product over the flattened leading
+        # axes, where matmul sums one product per leading index
+        fold = x.data.reshape(-1, 4).T @ c.data.reshape(-1, 3)
+        assert fused[1].grad.tobytes() == fold.tobytes()
+
+    def test_bias_free_affine_is_bitwise_a_zero_bias(self):
+        rng = np.random.default_rng(15)
+        arrays = [rng.normal(size=(3, 5, 4)), rng.normal(size=(4, 3))]
+        c = T.tensor(rng.normal(size=(3, 5, 3)))
+        free = [T.parameter(a.copy()) for a in arrays]
+        zero = [T.parameter(a.copy()) for a in arrays]
+        out_f = T.affine(T.mul(free[0], T.tensor(1.5)), free[1])
+        out_z = T.affine(T.mul(zero[0], T.tensor(1.5)), zero[1], T.tensor(np.zeros(3)))
+        assert len(out_f._parents) == 2
+        assert out_f.data.tobytes() == out_z.data.tobytes()
+        T.sum_all(T.mul(out_f, c)).backward(params=free)
+        T.sum_all(T.mul(out_z, c)).backward(params=zero)
+        for f, z in zip(free, zero):
+            assert f.grad.tobytes() == z.grad.tobytes()
 
     @pytest.mark.parametrize("shapes", [
         ((4,), (4, 3), (3,)),        # 1-D input
@@ -493,8 +513,7 @@ class TestFusedOps:
         assert fused.grad.tobytes() == split.grad.tobytes()
         assert np.any(fused.grad != 0.0) and np.any(fused.grad == 0.0)
 
-    RESIDUALS = {"same": ((3, 5, 4), (3, 5, 2)), "broadcast": ((3, 5, 4), (1, 5, 2)),
-                 "product_broadcasts": ((1, 5, 4), (3, 5, 2))}
+    RESIDUALS = {"same": ((3, 5, 4), (3, 5, 2)), "broadcast": ((3, 5, 4), (1, 5, 2))}
 
     @pytest.mark.parametrize("shapes", list(RESIDUALS.values()), ids=list(RESIDUALS))
     def test_affine_residual_is_bitwise_add_of_the_residual(self, shapes):
@@ -513,6 +532,12 @@ class TestFusedOps:
         T.sum_all(T.mul(out_s, c)).backward(params=split)
         for f, s in zip(fused, split):
             assert f.grad.tobytes() == s.grad.tobytes()
+
+    def test_affine_rejects_a_residual_the_product_does_not_hold(self):
+        # the product [1, 5, 2] would have to broadcast up to the residual
+        x, w, b, r = (T.tensor(np.ones(s)) for s in ((1, 5, 4), (4, 2), (2,), (3, 5, 2)))
+        with pytest.raises(ValueError, match="residual"):
+            T.affine(x, w, b, residual=r)
 
     def test_affine_residual_keeps_add_order_into_a_shared_ancestor(self):
         # p reaches the node through the residual and through two products
@@ -547,56 +572,67 @@ class TestFusedOps:
                          "keys_values_1": (3, 1)}
 
     @staticmethod
-    def split_heads(x, heads):
-        # [b, n, width] -> [b, heads, n, head_dim], as the Transformer splits
-        b, n, width = x.shape
-        return T.transpose(T.reshape(x, (b, n, heads, width // heads)), (0, 2, 1, 3))
+    def composed_attention(q, k, v, heads):
+        """The attention of [b, n, width] operands in separate ops: the head
+        split, the scaled scores, the softmax, the mix and the head merge."""
+        def split(x):
+            b, n, width = x.shape
+            return T.transpose(T.reshape(x, (b, n, heads, width // heads)), (0, 2, 1, 3))
+
+        q, k, v = split(q), split(k), split(v)
+        scale = 1.0 / np.sqrt(q.shape[3])
+        weights = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale, axis=3)
+        mixed = T.transpose(T.matmul(weights, v), (0, 2, 1, 3))
+        batch, n, _, _ = mixed.shape
+        return T.reshape(mixed, (batch, n, heads * q.shape[3])), weights
 
     @pytest.mark.parametrize("batches", list(ATTENTION_BATCHES.values()),
                              ids=list(ATTENTION_BATCHES))
     def test_attention_is_bitwise_the_composed_ops(self, batches):
         q_batch, kv_batch = batches
-        heads, dim, scale = 2, 3, 1.0 / np.sqrt(3)
+        heads, width = 2, 6
         rng = np.random.default_rng(10)
-        arrays = [rng.normal(size=(q_batch, 4, heads * dim)),
-                  rng.normal(size=(kv_batch, 5, heads * dim)),
-                  rng.normal(size=(kv_batch, 5, heads * dim))]
-        c = T.tensor(rng.normal(size=(max(batches), 4, heads * dim)))
+        arrays = [rng.normal(size=(q_batch, 4, width)),
+                  rng.normal(size=(kv_batch, 5, width)),
+                  rng.normal(size=(kv_batch, 5, width))]
+        c = T.tensor(rng.normal(size=(max(batches), 4, width)))
         fused = [T.parameter(a.copy()) for a in arrays]
         split = [T.parameter(a.copy()) for a in arrays]
-        q, k, v = (self.split_heads(x, heads) for x in fused)
-        out_f, weights_f = T.attention(q, k, v, scale)
-        q, k, v = (self.split_heads(x, heads) for x in split)
-        weights_s = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale, axis=3)
-        mixed = T.transpose(T.matmul(weights_s, v), (0, 2, 1, 3))
-        out_s = T.reshape(mixed, (max(batches), 4, heads * dim))
+        # the operands as intermediate nodes, as the projections are
+        out_f, weights_f = T.attention(*(T.mul(x, T.tensor(1.5)) for x in fused), heads)
+        out_s, weights_s = self.composed_attention(
+            *(T.mul(x, T.tensor(1.5)) for x in split), heads)
         assert out_f.data.tobytes() == out_s.data.tobytes()
         assert weights_f.data.tobytes() == weights_s.data.tobytes()
         T.sum_all(T.mul(out_f, c)).backward(params=fused)
         T.sum_all(T.mul(out_s, c)).backward(params=split)
-        # each operand's gradient reaches its parameter through the exact
-        # moves of the head split
+        # each operand's gradient reaches its parameter with the bits of the
+        # head split's backward
         for f, s in zip(fused, split):
             assert f.grad.tobytes() == s.grad.tobytes()
+
+    def attention_grad_of_a_shared_input(self, attention, scales):
+        rng = np.random.default_rng(14)
+        x = T.parameter(rng.normal(size=(2, 4, 6)))
+        c = T.tensor(rng.normal(size=(2, 4, 6)))
+        nodes = {s: T.mul(x, T.tensor(s)) for s in scales}
+        out = attention(*(nodes[s] for s in scales), 2)[0]
+        T.sum_all(T.mul(out, c)).backward(params=[x])
+        return x.grad.tobytes()
 
     def test_attention_keeps_the_composed_order_into_a_shared_input(self):
         # self-attention: q, k and v all reach back to x, whose three
         # gradients summed in another order round differently
-        rng = np.random.default_rng(14)
-        data = rng.normal(size=(2, 4, 6))
-        c = T.tensor(rng.normal(size=(2, 4, 6)))
-        grads = []
-        for fused in (True, False):
-            x = T.parameter(data.copy())
-            q, k, v = (self.split_heads(T.mul(x, T.tensor(s)), 2) for s in (0.7, 1.3, 2.1))
-            if fused:
-                out = T.attention(q, k, v, 0.5)[0]
-            else:
-                weights = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * 0.5, axis=3)
-                out = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (2, 4, 6))
-            T.sum_all(T.mul(out, c)).backward(params=[x])
-            grads.append(x.grad.tobytes())
-        assert grads[0] == grads[1]
+        scales = (0.7, 1.3, 2.1)
+        assert (self.attention_grad_of_a_shared_input(T.attention, scales)
+                == self.attention_grad_of_a_shared_input(self.composed_attention, scales))
+
+    def test_attention_keeps_the_composed_order_into_one_node_passed_thrice(self):
+        # the node gets its q, k and v gradients in the order the composed
+        # head splits gave them
+        scales = (0.7, 0.7, 0.7)
+        assert (self.attention_grad_of_a_shared_input(T.attention, scales)
+                == self.attention_grad_of_a_shared_input(self.composed_attention, scales))
 
     def test_attention_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -605,29 +641,29 @@ class TestFusedOps:
         c = T.tensor(rng.normal(size=(2, 3, 4)))
 
         def loss(xq, xk, xv):
-            q, k, v = (self.split_heads(x, 2) for x in (xq, xk, xv))
-            return T.sum_all(T.mul(T.attention(q, k, v, 0.7)[0], c))
+            return T.sum_all(T.mul(T.attention(xq, xk, xv, 2)[0], c))
 
         assert grad_check(loss, arrays) < 1e-6
 
     def test_attention_weights_are_a_constant_record(self):
         rng = np.random.default_rng(12)
-        q, k, v = (T.parameter(rng.normal(size=(2, 2, n, 3))) for n in (4, 5, 5))
-        out, weights = T.attention(q, k, v, 0.5)
+        q, k, v = (T.parameter(rng.normal(size=(2, n, 6))) for n in (4, 5, 5))
+        out, weights = T.attention(q, k, v, 2)
         assert out.requires_grad and out._parents == (q, k, v)
+        assert out.shape == (2, 4, 6) and weights.shape == (2, 2, 4, 5)
         assert not weights.requires_grad
         assert weights._parents == () and weights._backward_fn is None
 
     @pytest.mark.parametrize("shapes", [
-        ((2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 3)),     # 3-D queries
-        ((2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 6, 3)),  # keys and values differ
-        ((2, 2, 4, 3), (2, 3, 5, 3), (2, 3, 5, 3)),  # heads differ
-        ((2, 2, 4, 3), (2, 2, 5, 2), (2, 2, 5, 2)),  # head dims differ
-        ((2, 2, 4, 3), (3, 2, 5, 3), (3, 2, 5, 3)),  # batches do not broadcast
+        ((2, 2, 4, 3), (2, 5, 6), (2, 5, 6)),  # queries not 3-D
+        ((2, 4, 6), (2, 5, 6), (2, 6, 6)),     # keys and values differ
+        ((2, 4, 5), (2, 5, 5), (2, 5, 5)),     # width not divisible by the heads
+        ((2, 4, 6), (2, 5, 4), (2, 5, 4)),     # widths differ
+        ((2, 4, 6), (3, 5, 6), (3, 5, 6)),     # batches do not broadcast
     ], ids=["3d", "keys_values", "heads", "head_dim", "batch"])
     def test_attention_rejects_mismatched_shapes(self, shapes):
         with pytest.raises(ValueError):
-            T.attention(*(T.tensor(np.ones(shape)) for shape in shapes), 1.0)
+            T.attention(*(T.tensor(np.ones(shape)) for shape in shapes), 2)
 
 
 # values whose bits the one-allocation ops must keep: signed zeros,
