@@ -11,7 +11,6 @@ from .nn import (
     Smfr,
     SmfrConfig,
     LayerTrace,
-    blend_blocks,
     routing_regularization_loss,
     max_abs_routing_logit,
     fnn_parameter_count,

@@ -100,7 +100,7 @@ class ModelBundle:
         if cfg.variants.noisy_permutation:
             n_in, _, d = shape
             self.permutation = init_rng.permutation(n_in * d)
-            # scrambled[:, j] = flat[:, perm[j]], as a fixed matrix product
+            # scrambled[:, j] = flat[:, perm[j]], as a product with a constant weight
             self._scramble = Tensor(np.eye(n_in * d)[:, self.permutation].copy())
         self.params = dict(self.net.parameters())
         if self.head is not None:
@@ -128,7 +128,7 @@ class ModelBundle:
             if not isinstance(inputs, Tensor):
                 inputs = Tensor(inputs)
             if self.permutation is not None:
-                flat = T.matmul(T.reshape(inputs, (batch, n_in * d)), self._scramble)
+                flat = T.affine(T.reshape(inputs, (batch, n_in * d)), self._scramble)
                 inputs = T.reshape(flat, (batch, n_in, d))
             if self.cfg.model.kind == "fnn":
                 flat = T.reshape(inputs, (batch, n_in * d))

@@ -9,7 +9,8 @@ uniformly sized blocks of d values, held as a Tensor of shape [batch, B, d].
   the concatenated input, normalized per output block across the inputs.
 * ``Fnnr`` — gated-residual feedforward stage: an internal FNN proposes one
   candidate block plus one gate logit per block, and each output interpolates
-  the incoming block with its candidate through a sigmoid gate.
+  the incoming block with its candidate through a sigmoid gate.  The gate
+  values come back as a constant record; the gate logits stay on the graph.
 * ``Mfnnr`` — a Multiplexer followed by an Fnnr that also sees the
   pre-Multiplexer blocks as context.
 * ``Smfr`` — a stack of Mfnnr modules; the FNN replacement evaluated in the
@@ -38,7 +39,6 @@ __all__ = [
     "Mfnnr",
     "Smfr",
     "LayerTrace",
-    "blend_blocks",
     "routing_regularization_loss",
     "fnn_parameter_count",
     "smfr_parameter_count",
@@ -142,23 +142,14 @@ class Fnn:
         return sum(p.size for p in self.parameters().values())
 
 
-def blend_blocks(weights: Tensor, blocks: Tensor) -> Tensor:
-    """Mix input blocks with normalized weights.
-
-    ``weights`` is [batch, M, N] (columns sum to one over M), ``blocks`` is
-    [batch, M, d]; output block n is sum_m weights[m, n] * blocks[m].
-    """
-    return T.matmul(T.transpose(weights, (0, 2, 1)), blocks)
-
-
 @dataclass
 class LayerTrace:
-    """Routing decisions of one Mfnnr layer, kept on the autodiff graph so the
-    saturation regularizer can reach the raw logits."""
+    """Routing decisions of one Mfnnr layer.  The logits stay on the autodiff
+    graph so the saturation regularizer can reach them."""
 
     mux_weights: Tensor   # [batch, M, N], post-normalization
     mux_logits: Tensor    # [batch, M, N], raw
-    gate_values: Tensor   # [batch, N], post-sigmoid
+    gate_values: Tensor   # [batch, N], post-sigmoid, a constant record
     gate_logits: Tensor   # [batch, N], raw
     routed: Tensor        # [batch, N, d], the Multiplexer's blended blocks
 
@@ -190,7 +181,7 @@ class Multiplexer:
             if rng is None:
                 raise ValueError("gumbel attention needs an rng for its noise draw")
             weights = T.gumbel_softmax_st(logits, axis=1, temperature=self.temperature, rng=rng)
-        return blend_blocks(weights, blocks), weights, logits
+        return T.mix(weights, blocks), weights, logits
 
     def parameters(self):
         return self.fnn.parameters()
@@ -220,11 +211,8 @@ class Fnnr:
         else:
             flat = T.reshape(routed, (batch, n * d))
         trunk = self.fnn.forward(flat)
-        candidates = T.reshape(T.slice_axis(trunk, 1, 0, n * d), (batch, n, d))
         gate_logits = T.slice_axis(trunk, 1, n * d, n * d + n)
-        gates = T.sigmoid(gate_logits)
-        g = T.reshape(gates, (batch, n, 1))
-        out = g * routed + (1.0 - g) * candidates
+        out, gates = T.gate(routed, trunk, gate_logits)
         return out, gates, gate_logits
 
     def parameters(self):
@@ -296,15 +284,8 @@ def routing_regularization_loss(traces, threshold: float = 20.0) -> Tensor:
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    logit_tensors = []
-    for tr in traces:
-        logit_tensors.append(tr.mux_logits)
-        logit_tensors.append(tr.gate_logits)
-    acc = None
-    for t in logit_tensors:
-        excess = T.band_excess(t, threshold)
-        acc = excess if acc is None else acc + excess
-    return acc
+    return T.band_excess([t for tr in traces for t in (tr.mux_logits, tr.gate_logits)],
+                         threshold)
 
 
 def max_abs_routing_logit(traces) -> float:

@@ -23,19 +23,17 @@ __all__ = [
     "tensor",
     "parameter",
     "add",
-    "sub",
     "mul",
-    "matmul",
     "affine",
     "attention",
+    "mix",
+    "gate",
     "leaky_relu",
-    "sigmoid",
     "log",
     "softmax",
     "gumbel_softmax_st",
     "cross_entropy_loss",
     "reshape",
-    "transpose",
     "concat",
     "slice_axis",
     "sum_all",
@@ -139,20 +137,11 @@ class Tensor:
     def __radd__(self, other):
         return add(_lift(other, self.dtype), self)
 
-    def __sub__(self, other):
-        return sub(self, _lift(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other, self.dtype))
 
     def __rmul__(self, other):
         return mul(_lift(other, self.dtype), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __neg__(self):
         return mul(self, _lift(-1.0, self.dtype))
@@ -238,18 +227,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
@@ -262,29 +239,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of the trailing two axes; leading axes broadcast.
-
-    Covers the plain 2-D case as well as the batched form used by block
-    mixing ([batch, N, M] @ [batch, M, d]).  A weight applied to every token
-    is an ``affine``.  Backward forms only the gradients of operands that
-    require one.
-    """
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError("matmul operands must have at least 2 dimensions")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor | None = None,
            residual: Tensor | None = None) -> Tensor:
     """``x @ w + b`` for ``x`` of shape [..., k], a 2-D ``w`` and an optional
@@ -292,11 +246,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     The bias is added in place to the fresh product and its gradient is
     ``g`` summed over every leading axis, so a 2-D ``x`` gives the bits of
-    ``add(matmul(x, w), b)``.  A batched ``x`` gets its weight gradient as
-    one 2-D product over the flattened leading axes.  A residual must
-    broadcast to the product.  It gives the bits of ``add(residual,
-    affine(x, w, b))``: it is added in place, and it gets its gradient
-    first, ahead of the product's operands, as that ``add`` would give it.
+    a product node followed by an ``add`` of ``b``.  A batched ``x`` gets
+    its weight gradient as one 2-D product over the flattened leading axes.
+    A residual must broadcast to the product.  It gives the bits of
+    ``add(residual, affine(x, w, b))``: it is added in place, and it gets
+    its gradient first, ahead of the product's operands, as that ``add``
+    would give it.
     """
     if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
             or (b is not None and b.data.shape != w.data.shape[1:])):
@@ -337,12 +292,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tens
     [batch, n, width] is ``weights @ v`` with the heads merged.  Either side
     may have a batch of 1 that broadcasts over the other's.
 
-    Forward and backward give the bits of the composed head split
-    (``reshape``, ``transpose``), ``matmul``, ``mul``, ``softmax``,
-    ``matmul`` and head merge, in their order.  The split and the merge of
-    the mix are views.  Each operand gets its gradient in the model layout,
-    in the order q, k, v, as the split nodes gave it.  Backward keeps only
-    the operands and the weights.
+    Forward and backward give the bits of the composed ops: the head split
+    (a reshape and a transpose), the score product, the scale, the softmax,
+    the mix product and the head merge, in their order.  The split and the
+    merge of the mix are views.  Each operand gets its gradient in the model
+    layout, in the order q, k, v, as the split nodes gave it.  Backward keeps
+    only the operands and the weights, and reads ``g`` through the head
+    split's view.
     """
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim != 3 or kd.ndim != 3 or kd.shape != vd.shape or qd.shape[2] != kd.shape[2]
@@ -371,8 +327,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tens
     np.matmul(weights, vh, out=split(data))
 
     def backward(g):
-        # the contiguous copy the composed head merge's backward made
-        gm = split(g).copy()
+        gm = split(g)
         if q.requires_grad or k.requires_grad:
             gs = _softmax_grad(gm @ vh.swapaxes(-1, -2), weights, -1)
             gs *= scale
@@ -385,6 +340,76 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, Tens
             _accumulate(v, merge(_unbroadcast(weights.swapaxes(-1, -2) @ gm, vh.shape)))
 
     return _make(data, (q, k, v), backward), Tensor(weights)
+
+
+def mix(weights: Tensor, blocks: Tensor) -> Tensor:
+    """The Multiplexer's block mix as one node: output block n of each
+    example is ``sum_m weights[m, n] * blocks[m]``, for ``weights``
+    [batch, M, N] and ``blocks`` [batch, M, d], giving [batch, N, d].
+
+    Forward and backward give the bits of a transpose of ``weights``
+    followed by a batched product.  The weights are read through a
+    transposed view, and their gradient ``g @ blocks^T`` is swapped back,
+    so ``_accumulate`` copies it into the weights' layout.
+    """
+    wd, bd = weights.data, blocks.data
+    if wd.ndim != 3 or bd.ndim != 3 or wd.shape[:2] != bd.shape[:2]:
+        raise ValueError(f"mix expects weights [b, M, N] and blocks [b, M, d], "
+                         f"got {wd.shape} and {bd.shape}")
+    data = wd.swapaxes(-1, -2) @ bd
+
+    def backward(g):
+        if weights.requires_grad:
+            _accumulate(weights, (g @ bd.swapaxes(-1, -2)).swapaxes(-1, -2))
+        if blocks.requires_grad:
+            _accumulate(blocks, wd @ g)
+
+    return _make(data, (weights, blocks), backward)
+
+
+def gate(routed: Tensor, trunk: Tensor, logits: Tensor) -> tuple[Tensor, Tensor]:
+    """The Fnnr's gated blend as one node: ``(out, gates)`` for ``routed``
+    [batch, n, d], the FNN output ``trunk`` [batch, n*d + n] whose first
+    ``n*d`` columns are the candidate blocks, and the gate ``logits``
+    [batch, n].
+
+    ``gates`` [batch, n], a constant record, is the sigmoid of the logits;
+    ``out`` is ``g * routed + (1 - g) * candidates`` with each block's gate
+    ``g``.  The sigmoid takes ``exp`` of minus the magnitude, which never
+    overflows: ``1/(1+e^-x)`` for ``x >= 0`` and ``e^x/(1+e^x)`` below,
+    each with the bits of computing it alone.  Forward and backward give
+    the bits of the composed slices, reshapes, sigmoid, products,
+    difference and sum.  ``trunk`` gets the candidates' gradient in a
+    zero-filled buffer of its shape, and ``logits`` the sigmoid's gradient
+    of ``sum_d(g_out * routed) - sum_d(g_out * candidates)``.
+    """
+    batch, n, d = routed.data.shape
+    if trunk.data.shape != (batch, n * d + n) or logits.data.shape != (batch, n):
+        raise ValueError(f"gate expects routed [b, n, d], trunk [b, n*d + n] and logits "
+                         f"[b, n], got {routed.data.shape}, {trunk.data.shape} and "
+                         f"{logits.data.shape}")
+    candidates = trunk.data[:, :n * d].reshape(batch, n, d)
+    x = logits.data
+    e = np.exp(-np.abs(x))
+    gates = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    g3 = gates.reshape(batch, n, 1)
+    rest = 1.0 - g3
+    data = g3 * routed.data
+    data += rest * candidates
+
+    def backward(g):
+        if routed.requires_grad:
+            _accumulate(routed, g * g3)
+        if trunk.requires_grad:
+            full = np.zeros_like(trunk.data)
+            full[:, :n * d] = (g * rest).reshape(batch, n * d)
+            _accumulate(trunk, full)
+        if logits.requires_grad:
+            kept = (g * routed.data).sum(axis=2)
+            kept -= (g * candidates).sum(axis=2)
+            _accumulate(logits, kept * gates * (1.0 - gates))
+
+    return _make(data, (routed, trunk, logits), backward), Tensor(gates)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
@@ -404,19 +429,6 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
         _accumulate(x, gx)
 
     return _make(data, (x,), backward)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    # exp of minus the magnitude never overflows: 1/(1+e^-d) for d >= 0 and
-    # e^d/(1+e^d) below, each with the same bits as computing it alone
-    d = x.data
-    e = np.exp(-np.abs(d))
-    out = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def backward(g):
-        _accumulate(x, g * out * (1.0 - out))
-
-    return _make(out, (x,), backward)
 
 
 def log(x: Tensor) -> Tensor:
@@ -534,19 +546,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def transpose(x: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    data = x.data.transpose(axes)
-    inverse = [0] * len(axes)
-    for i, a in enumerate(axes):
-        inverse[a] = i
-
-    def backward(g):
-        _accumulate(x, g.transpose(inverse))
-
-    return _make(data, (x,), backward)
-
-
 def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -586,15 +585,21 @@ def sum_all(x: Tensor) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def band_excess(x: Tensor, threshold: float) -> Tensor:
-    """Sum over ``x`` of the squared distance to ``[-threshold, threshold]``,
-    as one node: the bits of ``sum_all(mul(diff, diff))`` with ``diff = x -
-    clip(x)``, whose backward adds ``g * diff`` twice."""
-    diff = x.data - np.clip(x.data, -threshold, threshold)
-    data = np.asarray((diff * diff).sum(), dtype=x.data.dtype)
+def band_excess(xs, threshold: float) -> Tensor:
+    """Sum over every tensor in ``xs`` of the squared distance to
+    ``[-threshold, threshold]``, as one node.  Each tensor's term has the
+    bits of ``sum_all(mul(diff, diff))`` with ``diff = x - clip(x)``, whose
+    backward adds ``g * diff`` twice, and the terms are summed left to
+    right, as a chain of ``add`` nodes would sum them."""
+    xs = list(xs)
+    diffs = [x.data - np.clip(x.data, -threshold, threshold) for x in xs]
+    terms = [(diff * diff).sum() for diff in diffs]
+    data = np.asarray(sum(terms[1:], terms[0]), dtype=xs[0].data.dtype)
 
     def backward(g):
-        gd = g * diff
-        _accumulate(x, gd + gd)
+        for x, diff in zip(xs, diffs):
+            if x.requires_grad:
+                gd = g * diff
+                _accumulate(x, gd + gd)
 
-    return _make(data, (x,), backward)
+    return _make(data, xs, backward)

@@ -728,11 +728,7 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("kind", ["fnn", "smfr"])
     def test_bpmnist_on_in_memory_images(self, tmp_path, kind):
-        rng = np.random.default_rng(0)
-        mnist = {"train_images": rng.random((64, 28, 28)),
-                 "train_labels": rng.integers(0, 10, 64),
-                 "test_images": rng.random((300, 28, 28)),
-                 "test_labels": rng.integers(0, 10, 300)}
+        mnist = in_memory_mnist(np.random.default_rng(0))
         data = tiny_config(tmp_path, experiment="bpmnist", max_steps=6, eval_every=3)
         data["model"] = ({"kind": "fnn", "hidden_widths": [8]} if kind == "fnn"
                          else {"kind": "smfr", "stack_width": 4, "stack_depth": 0,
@@ -753,6 +749,50 @@ class TestRunTrial:
         routes = kind != "fnn"
         assert ("initial_permutation_difference" in summary) == routes
         assert ("permutation_difference" in summary["late"]) == routes
+
+
+def in_memory_mnist(rng):
+    return {"train_images": rng.random((64, 28, 28)),
+            "train_labels": rng.integers(0, 10, 64),
+            "test_images": rng.random((300, 28, 28)),
+            "test_labels": rng.integers(0, 10, 300)}
+
+
+# names in tensor.__all__ that are not ops: constructors and the context manager
+NOT_OPS = {"Tensor", "tensor", "parameter", "no_grad"}
+
+
+def test_every_engine_op_runs_in_some_model(tmp_path, monkeypatch):
+    # one-step trials of every model kind, routing variant and routing bias;
+    # an op none of them runs is dead engine surface
+    ran = set()
+
+    def spying(name, op):
+        def spy(*args, **kwargs):
+            ran.add(name)
+            return op(*args, **kwargs)
+        return spy
+
+    ops = sorted(set(T.__all__) - NOT_OPS)
+    for name in ops:
+        monkeypatch.setattr(T, name, spying(name, getattr(T, name)))
+    smfr = {"kind": "smfr", "stack_width": 3, "stack_depth": 1, "fnn_hidden": [8]}
+    trials = [
+        {"model": smfr},
+        {"model": {**smfr, "attention": "gumbel_st"}},
+        {"model": {"kind": "fnn", "hidden_widths": [8]}},
+        {"experiment": "algo", "model": {"kind": "transformer", "model_width": 8,
+                                         "num_heads": 2, "encoder_layers": 1,
+                                         "decoder_layers": 1, "ffn_width": 8}},
+        {"experiment": "bpmnist", "model": {**smfr, "stack_depth": 0},
+         "variants": {"bias": True},
+         "bpmnist": {"scale": 1e-4, "eval_subset": 32, "probe_size": 16}},
+    ]
+    for i, edits in enumerate(trials):
+        data = tiny_config(tmp_path / str(i), max_steps=1, eval_every=1, **edits)
+        mnist = in_memory_mnist(np.random.default_rng(0)) if "bpmnist" in edits else None
+        assert run_trial(ExperimentConfig.from_dict(data), mnist=mnist)["completed"]
+    assert not sorted(set(ops) - ran), f"no model runs {sorted(set(ops) - ran)}"
 
 
 def graph_nodes(root: Tensor) -> int:
@@ -796,10 +836,9 @@ def graph_bytes(root: Tensor, params) -> int:
 
 
 class TestTrainingGraph:
-    def test_smfr_training_loss_node_count(self, tmp_path, monkeypatch):
-        # the benchmark's doubleadd SMFR model: each FNN layer is one affine
-        # node and each logit tensor's penalty one band_excess node, so
-        # splitting either again raises the count
+    @staticmethod
+    def training_loss_nodes(tmp_path, monkeypatch, **edits):
+        """Backward node counts of the losses of a one-step trial."""
         counts = []
         backward = Tensor.backward
 
@@ -808,11 +847,28 @@ class TestTrainingGraph:
             return backward(loss, params)
 
         monkeypatch.setattr(Tensor, "backward", spy)
-        data = tiny_config(tmp_path, batch_size=64, max_steps=1, eval_every=1,
-                           model={"kind": "smfr", "stack_width": 8, "stack_depth": 1,
-                                  "fnn_hidden": [100], "attention": "softmax"})
-        run_trial(ExperimentConfig.from_dict(data))
-        assert counts == [54]
+        monkeypatch.setattr(training, "evaluate_accuracy", lambda *args: 0.0)
+        run_trial(ExperimentConfig.from_dict(
+            tiny_config(tmp_path, batch_size=64, max_steps=1, eval_every=1, **edits)))
+        return counts
+
+    def test_smfr_training_loss_node_count(self, tmp_path, monkeypatch):
+        # the benchmark's doubleadd SMFR model: each FNN layer is one affine
+        # node, each Multiplexer's blend one mix node, each Fnnr's gated
+        # blend one gate node behind its logit slice, and the penalty one
+        # band_excess node over every logit tensor, so splitting any of them
+        # again raises the count
+        model = {"kind": "smfr", "stack_width": 8, "stack_depth": 1,
+                 "fnn_hidden": [100], "attention": "softmax"}
+        assert self.training_loss_nodes(tmp_path, monkeypatch, model=model) == [32]
+
+    def test_algo_smfr_training_loss_node_count(self, tmp_path, monkeypatch):
+        # the depth-3 cell of the algo SMFR gate: four layers, each with the
+        # nodes above, unrolled over a training episode's two rule steps
+        model = {"kind": "smfr", "stack_width": 6, "stack_depth": 3,
+                 "fnn_hidden": [100], "attention": "softmax"}
+        assert self.training_loss_nodes(tmp_path, monkeypatch, experiment="algo",
+                                        model=model) == [123]
 
     def transformer_training_loss(self, tmp_path, monkeypatch):
         """The loss of one training step of the benchmark's algo Transformer,

@@ -10,7 +10,6 @@ from blockops.nn import (
     Multiplexer,
     Smfr,
     SmfrConfig,
-    blend_blocks,
     fnn_parameter_count,
     force_copy_routing,
     max_abs_routing_logit,
@@ -60,12 +59,13 @@ class TestFnn:
 
 
 class TestBlendBlocks:
+    # the Multiplexer's blend, the engine's mix node
     def test_one_hot_weights_copy_blocks(self):
         blocks = np.random.default_rng(0).normal(size=(2, 3, 4))
         weights = np.zeros((2, 3, 2))
         weights[:, 1, 0] = 1.0
         weights[:, 2, 1] = 1.0
-        out = blend_blocks(T.tensor(weights), T.tensor(blocks))
+        out = T.mix(T.tensor(weights), T.tensor(blocks))
         assert np.array_equal(out.data[:, 0], blocks[:, 1])
         assert np.array_equal(out.data[:, 1], blocks[:, 2])
 
@@ -76,8 +76,8 @@ class TestBlendBlocks:
         blocks = rng.normal(size=(2, 4, 3))
         weights = rng.random(size=(2, 4, 2))
         perm = np.array([2, 0, 3, 1])
-        base = blend_blocks(T.tensor(weights), T.tensor(blocks))
-        permuted = blend_blocks(T.tensor(weights[:, perm]), T.tensor(blocks[:, perm]))
+        base = T.mix(T.tensor(weights), T.tensor(blocks))
+        permuted = T.mix(T.tensor(weights[:, perm]), T.tensor(blocks[:, perm]))
         assert np.allclose(base.data, permuted.data, atol=1e-15)
 
 
@@ -326,9 +326,9 @@ class TestRoutingRegularization:
     def trace(self, mux_logits, gate_logits):
         mux = T.parameter(np.array(mux_logits, dtype=np.float64))
         gate = T.parameter(np.array(gate_logits, dtype=np.float64))
-        # the penalty reads only the logits; no routed blocks are needed
-        return LayerTrace(T.softmax(mux, axis=1), mux, T.sigmoid(gate), gate,
-                          routed=None), mux, gate
+        # the penalty reads only the logits; no gate values or routed blocks
+        # are needed
+        return LayerTrace(T.softmax(mux, axis=1), mux, None, gate, routed=None), mux, gate
 
     def test_in_band_logits_cost_nothing(self):
         trace, _, _ = self.trace(np.full((1, 2, 2), 19.9), np.zeros((1, 2)))

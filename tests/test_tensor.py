@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composed
 from blockops import tensor as T
 from blockops.optim import clip_global_norm
 from fdcheck import finite_difference, grad_check, relative_error
@@ -27,12 +28,12 @@ class TestElementwiseOps:
         rng = np.random.default_rng(0)
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(2, 3))
-        err = grad_check(lambda x, y: T.sum_all(T.mul(T.sub(x, y), x)), [a, b])
+        err = grad_check(lambda x, y: T.sum_all(T.mul(composed.sub(x, y), x)), [a, b])
         assert err < 1e-4
 
     def test_scalar_operator_sugar(self):
         x = T.parameter([2.0])
-        y = 3.0 * x + 1.0 - x
+        y = 3.0 * x + 1.0 + -x
         loss = T.sum_all(y * y)
         loss.backward(params=[x])
         # y = 2x + 1 = 5, d(y^2)/dx = 2*5*2
@@ -41,13 +42,14 @@ class TestElementwiseOps:
 
 
 class TestMatmul:
+    # the reference product that the fused nodes' bitwise tests compare with
     def test_identity_returns_input(self):
         x = np.arange(9, dtype=np.float64).reshape(3, 3)
-        out = T.matmul(T.tensor(np.eye(3)), T.tensor(x))
+        out = composed.matmul(T.tensor(np.eye(3)), T.tensor(x))
         assert np.array_equal(out.data, x)
 
     def test_row_times_column(self):
-        out = T.matmul(T.tensor([[1.0, 2.0]]), T.tensor([[3.0], [4.0]]))
+        out = composed.matmul(T.tensor([[1.0, 2.0]]), T.tensor([[3.0], [4.0]]))
         assert out.data.shape == (1, 1)
         assert out.data[0, 0] == pytest.approx(11.0)
 
@@ -55,14 +57,14 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         a = rng.normal(size=(2, 3, 4))
         b = rng.normal(size=(2, 4, 5))
-        err = grad_check(lambda x, y: T.sum_all(T.matmul(x, y)), [a, b])
+        err = grad_check(lambda x, y: T.sum_all(composed.matmul(x, y)), [a, b])
         assert err < 1e-4
 
     def test_broadcast_batch_dim_gradient(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(2, 3, 4))
         b = rng.normal(size=(4, 5))
-        err = grad_check(lambda x, y: T.sum_all(T.matmul(x, y)), [a, b])
+        err = grad_check(lambda x, y: T.sum_all(composed.matmul(x, y)), [a, b])
         assert err < 1e-4
 
     def test_four_d_times_weight_gradient(self):
@@ -72,7 +74,7 @@ class TestMatmul:
         a = rng.normal(size=(2, 3, 4, 5))
         b = rng.normal(size=(5, 6))
         w = rng.normal(size=(2, 3, 4, 6))
-        err = grad_check(lambda x, y: T.sum_all(T.mul(T.matmul(x, y), T.tensor(w))), [a, b])
+        err = grad_check(lambda x, y: T.sum_all(T.mul(composed.matmul(x, y), T.tensor(w))), [a, b])
         assert err < 1e-4
 
     @pytest.mark.parametrize("constant", ["a", "b"])
@@ -85,7 +87,7 @@ class TestMatmul:
 
         def loss(x):
             pair = {constant: fixed, learned: x}
-            return T.sum_all(T.mul(T.matmul(pair["a"], pair["b"]), T.tensor(w)))
+            return T.sum_all(T.mul(composed.matmul(pair["a"], pair["b"]), T.tensor(w)))
 
         x = T.parameter(arrays[learned].copy())
         loss(x).backward(params=[x])
@@ -113,19 +115,31 @@ class TestLeakyRelu:
         assert err < 1e-4
 
 
+def gate_values(logits):
+    """The gates ``gate`` computes for a row of logits, one per 1-value block."""
+    x = np.asarray(logits, dtype=np.float64).reshape(1, -1)
+    n = x.shape[1]
+    routed, trunk = T.tensor(np.zeros((1, n, 1))), T.tensor(np.zeros((1, 2 * n)))
+    return T.gate(routed, trunk, T.tensor(x))[1].data.reshape(-1)
+
+
 class TestSigmoid:
+    # the gate node's sigmoid
     def test_zero_is_half(self):
-        assert T.sigmoid(T.tensor([0.0])).data[0] == pytest.approx(0.5)
+        assert gate_values([0.0])[0] == pytest.approx(0.5)
 
     def test_saturation_is_stable(self):
-        out = T.sigmoid(T.tensor([40.0, -40.0]))
-        assert out.data[0] == 1.0
-        assert out.data[1] == pytest.approx(0.0, abs=1e-17)
-        assert np.all(np.isfinite(out.data))
+        out = gate_values([40.0, -40.0])
+        assert out[0] == 1.0
+        assert out[1] == pytest.approx(0.0, abs=1e-17)
+        assert np.all(np.isfinite(out))
 
     def test_gradient_near_origin(self):
-        x = np.array([0.1, -0.4, 0.9])
-        err = grad_check(lambda t: T.sum_all(T.sigmoid(t)), [x], h=1e-6)
+        # the logits' gradient through the blend of two unequal blocks
+        x = np.array([[0.1, -0.4, 0.9]])
+        routed = T.tensor(np.array([[[1.0, -2.0], [0.5, 3.0], [-1.5, 0.25]]]))
+        trunk = T.tensor(np.array([[0.3, 0.7, -1.0, 2.0, 1.1, -0.6, 0.0, 0.0, 0.0]]))
+        err = grad_check(lambda t: T.sum_all(T.gate(routed, trunk, t)[0]), [x], h=1e-6)
         assert err < 1e-6
 
     def test_bits_match_the_sign_split_formula(self):
@@ -137,7 +151,7 @@ class TestSigmoid:
         want[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
         ex = np.exp(d[~pos])
         want[~pos] = ex / (1.0 + ex)
-        assert T.sigmoid(T.tensor(d)).data.tobytes() == want.tobytes()
+        assert gate_values(d).tobytes() == want.tobytes()
 
 
 class TestSoftmax:
@@ -293,7 +307,8 @@ class TestShapeOps:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(2, 3, 4))
         c = rng.normal(size=(4, 3, 2))
-        err = grad_check(lambda t: T.sum_all(T.mul(T.transpose(t, (2, 1, 0)), T.tensor(c))), [x])
+        err = grad_check(
+            lambda t: T.sum_all(T.mul(composed.transpose(t, (2, 1, 0)), T.tensor(c))), [x])
         assert err < 1e-4
 
     def test_concat_splits_gradient(self):
@@ -405,10 +420,30 @@ class TestGradientOwnership:
             backward(g)
 
         y._backward_fn = spy
-        T.sum_all(T.mul(T.transpose(y, (1, 0)), T.tensor(c))).backward(params=[x])
+        T.sum_all(T.mul(composed.transpose(y, (1, 0)), T.tensor(c))).backward(params=[x])
         assert seen[0].flags.c_contiguous
         assert np.array_equal(seen[0], c.T)
         assert np.array_equal(x.grad, 2.0 * c.T)
+
+    def test_mix_weights_gradient_is_stored_c_contiguous(self):
+        rng = np.random.default_rng(5)
+        p = T.parameter(rng.normal(size=(2, 3, 4)))
+        blocks = rng.normal(size=(2, 3, 5))
+        c = rng.normal(size=(2, 4, 5))
+        weights = T.mul(p, T.tensor(2.0))
+        seen = []
+        backward = weights._backward_fn
+
+        def spy(g):
+            seen.append(g)
+            backward(g)
+
+        weights._backward_fn = spy
+        T.sum_all(T.mul(T.mix(weights, T.tensor(blocks)), T.tensor(c))).backward(params=[p])
+        want = (c @ blocks.swapaxes(-1, -2)).swapaxes(-1, -2)
+        assert seen[0].flags.c_contiguous
+        assert np.array_equal(seen[0], want)
+        assert np.array_equal(p.grad, 2.0 * want)
 
     def test_only_leaves_keep_a_grad_after_backward(self):
         x = T.parameter(np.ones((2, 3)))
@@ -448,7 +483,7 @@ class TestFusedOps:
         fused = [T.parameter(a.copy()) for a in arrays]
         split = [T.parameter(a.copy()) for a in arrays]
         out_f = T.affine(*fused)
-        out_s = T.add(T.matmul(split[0], split[1]), split[2])
+        out_s = T.add(composed.matmul(split[0], split[1]), split[2])
         assert out_f.data.tobytes() == out_s.data.tobytes()
         T.sum_all(T.mul(out_f, c)).backward(params=fused)
         T.sum_all(T.mul(out_s, c)).backward(params=split)
@@ -465,7 +500,7 @@ class TestFusedOps:
         # x as an intermediate node too, so its gradient flows on
         x = T.mul(fused[0], T.tensor(1.5))
         out_f = T.affine(x, fused[1], fused[2])
-        out_s = T.add(T.matmul(T.mul(split[0], T.tensor(1.5)), split[1]), split[2])
+        out_s = T.add(composed.matmul(T.mul(split[0], T.tensor(1.5)), split[1]), split[2])
         assert out_f.data.tobytes() == out_s.data.tobytes()
         T.sum_all(T.mul(out_f, c)).backward(params=fused)
         T.sum_all(T.mul(out_s, c)).backward(params=split)
@@ -504,14 +539,105 @@ class TestFusedOps:
         x = np.random.default_rng(6).normal(scale=3.0, size=(4, 5))
         fused = T.parameter(x.copy())
         split = T.parameter(x.copy())
-        out_f = T.band_excess(fused, 2.0)
-        diff = T.sub(split, T.tensor(np.clip(x, -2.0, 2.0)))
-        out_s = T.sum_all(T.mul(diff, diff))
+        out_f = T.band_excess([fused], 2.0)
+        out_s = composed.band_excess([split], 2.0)
         assert out_f.data.tobytes() == out_s.data.tobytes()
         T.mul(out_f, T.tensor(0.7)).backward(params=[fused])
         T.mul(out_s, T.tensor(0.7)).backward(params=[split])
         assert fused.grad.tobytes() == split.grad.tobytes()
         assert np.any(fused.grad != 0.0) and np.any(fused.grad == 0.0)
+
+    def test_band_excess_over_a_list_is_bitwise_the_add_chain(self):
+        # three tensors, one of them twice, all intermediate nodes: the terms
+        # sum left to right and each tensor's gradients meet in its buffer
+        rng = np.random.default_rng(18)
+        arrays = [rng.normal(scale=3.0, size=(4, 5)), rng.normal(scale=3.0, size=(2, 3)),
+                  rng.normal(scale=3.0, size=(6,))]
+        c = T.tensor(rng.normal(size=(4, 5)))
+        grads = []
+        for penalty in (T.band_excess, composed.band_excess):
+            params = [T.parameter(a.copy()) for a in arrays]
+            xs = [T.mul(p, T.tensor(1.5)) for p in params]
+            out = penalty([xs[0], xs[1], xs[0], xs[2]], 2.0)
+            loss = T.add(T.mul(out, T.tensor(0.7)), T.sum_all(T.mul(xs[0], c)))
+            loss.backward(params=params)
+            grads.append([out.data.tobytes()] + [p.grad.tobytes() for p in params])
+        assert grads[0] == grads[1]
+
+    def test_mix_is_bitwise_the_composed_ops(self):
+        rng = np.random.default_rng(16)
+        arrays = [rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4, 5))]
+        c = T.tensor(rng.normal(size=(3, 2, 5)))
+        c2 = T.tensor(rng.normal(size=(3, 4, 2)))
+        grads = []
+        for mix in (T.mix, composed.mix):
+            params = [T.parameter(a.copy()) for a in arrays]
+            # normalized weights and intermediate blocks, as the Multiplexer
+            # has them; the weights feed a second term, as the image task's
+            # routing bias reads them
+            weights = T.softmax(params[0], axis=1)
+            out = mix(weights, T.mul(params[1], T.tensor(1.5)))
+            loss = T.add(T.sum_all(T.mul(out, c)), T.sum_all(T.mul(weights, c2)))
+            loss.backward(params=params)
+            grads.append([out.data.tobytes()] + [p.grad.tobytes() for p in params])
+        assert grads[0] == grads[1]
+
+    def gate_case(self, fused):
+        """(out, gates, parameter gradients) of a gate whose trunk is an
+        affine node that also feeds a penalized slice, and whose logits are
+        penalized too, so two gradients meet in each of their buffers."""
+        rng = np.random.default_rng(17)
+        params = [T.parameter(a) for a in (
+            rng.normal(size=(32, 3, 4)), rng.normal(size=(32, 6)),
+            rng.normal(scale=2.0, size=(6, 15)), rng.normal(size=(15,)))]
+        c = T.tensor(rng.normal(size=(32, 3, 4)))
+        routed = T.mul(params[0], T.tensor(1.5))
+        trunk = T.affine(*params[1:])
+        if fused:
+            logits = T.slice_axis(trunk, 1, 12, 15)
+            out, gates = T.gate(routed, trunk, logits)
+        else:
+            out, gates, logits = composed.gate(routed, trunk)
+        penalty = T.band_excess([logits, T.slice_axis(trunk, 1, 2, 6)], 1.0)
+        assert penalty.data > 0.0
+        T.add(T.sum_all(T.mul(out, c)), penalty).backward(params=params)
+        return out.data, gates.data, [p.grad for p in params]
+
+    def test_gate_is_bitwise_the_composed_ops(self):
+        out_f, gates_f, grads_f = self.gate_case(fused=True)
+        out_s, gates_s, grads_s = self.gate_case(fused=False)
+        assert out_f.tobytes() == out_s.tobytes()
+        assert gates_f.tobytes() == gates_s.tobytes()
+        for f, s in zip(grads_f, grads_s):
+            assert f.tobytes() == s.tobytes()
+
+    def test_gate_values_are_a_constant_record(self):
+        rng = np.random.default_rng(19)
+        routed, trunk = T.parameter(rng.normal(size=(2, 3, 4))), T.parameter(rng.normal(size=(2, 15)))
+        logits = T.slice_axis(trunk, 1, 12, 15)
+        out, gates = T.gate(routed, trunk, logits)
+        assert out.requires_grad and out._parents == (routed, trunk, logits)
+        assert out.shape == (2, 3, 4) and gates.shape == (2, 3)
+        assert not gates.requires_grad
+        assert gates._parents == () and gates._backward_fn is None
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 4), (2, 14), (2, 3)),  # trunk one column short
+        ((2, 3, 4), (2, 15), (2, 2)),  # one logit short
+        ((2, 3, 4), (1, 15), (1, 3)),  # batches differ
+    ], ids=["trunk", "logits", "batch"])
+    def test_gate_rejects_mismatched_shapes(self, shapes):
+        with pytest.raises(ValueError):
+            T.gate(*(T.tensor(np.ones(shape)) for shape in shapes))
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 4), (2, 4, 5)),  # input block counts differ
+        ((2, 3, 4), (1, 3, 5)),  # batches differ
+        ((3, 4), (3, 5)),        # no batch axis
+    ], ids=["inputs", "batch", "2d"])
+    def test_mix_rejects_mismatched_shapes(self, shapes):
+        with pytest.raises(ValueError):
+            T.mix(*(T.tensor(np.ones(shape)) for shape in shapes))
 
     RESIDUALS = {"same": ((3, 5, 4), (3, 5, 2)), "broadcast": ((3, 5, 4), (1, 5, 2))}
 
@@ -577,12 +703,13 @@ class TestFusedOps:
         split, the scaled scores, the softmax, the mix and the head merge."""
         def split(x):
             b, n, width = x.shape
-            return T.transpose(T.reshape(x, (b, n, heads, width // heads)), (0, 2, 1, 3))
+            return composed.transpose(T.reshape(x, (b, n, heads, width // heads)), (0, 2, 1, 3))
 
         q, k, v = split(q), split(k), split(v)
         scale = 1.0 / np.sqrt(q.shape[3])
-        weights = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale, axis=3)
-        mixed = T.transpose(T.matmul(weights, v), (0, 2, 1, 3))
+        scores = composed.matmul(q, composed.transpose(k, (0, 1, 3, 2)))
+        weights = T.softmax(scores * scale, axis=3)
+        mixed = composed.transpose(composed.matmul(weights, v), (0, 2, 1, 3))
         batch, n, _, _ = mixed.shape
         return T.reshape(mixed, (batch, n, heads * q.shape[3])), weights
 
@@ -764,7 +891,7 @@ class TestOneAllocationOps:
         perms = list(itertools.permutations(range(4))) + [(0, -1, 1, -2), (-1, -2, -3, -4)]
         for axes in perms:
             x = T.parameter(data.copy())
-            out = T.transpose(x, axes)
+            out = composed.transpose(x, axes)
             g = rng.normal(size=out.shape)
             out._backward_fn(g.copy())
             assert x.grad.shape == data.shape
@@ -785,7 +912,7 @@ class TestOneAllocationOps:
         want = (g - (g * soft).sum(axis=1, keepdims=True)) * soft / 0.7
         assert np.array_equal(_bits(p.grad), _bits(want))
 
-    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("op", [T.add, composed.sub, T.mul], ids=["add", "sub", "mul"])
     @pytest.mark.parametrize("constant_first", [True, False], ids=["left", "right"])
     def test_a_constant_operand_gets_no_gradient_formed(self, op, constant_first,
                                                          monkeypatch):
