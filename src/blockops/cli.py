@@ -94,6 +94,9 @@ def cmd_inspect(args) -> int:
     if "config" not in header:
         raise CheckpointError(f"{args.checkpoint}: holds no run config")
     cfg = ExperimentConfig.from_dict(header["config"]).validate()
+    if cfg.model.kind == "fnn":
+        raise CheckpointError(f"{args.checkpoint}: model.kind fnn has no routing "
+                              f"decisions to inspect")
     # a checkpoint holds neither permutation; the replayed init stream does
     _, pset, bundle = replay_init(cfg)
     restore_parameters(bundle.params, tensors)

@@ -165,8 +165,10 @@ class ExperimentConfig:
             if not isinstance(v, list) or any(
                     isinstance(w, bool) or not isinstance(w, int) or w <= 0 for w in v):
                 raise ConfigError(f"model.{listfield}: must be a list of positive ints, got {v!r}")
-        if self.bpmnist.scale <= 0:
-            raise ConfigError(f"bpmnist.scale: must be positive, got {self.bpmnist.scale}")
+        for name in ("scale", "eval_subset", "probe_size"):
+            value = getattr(self.bpmnist, name)
+            if value <= 0:
+                raise ConfigError(f"bpmnist.{name}: must be positive, got {value}")
         if self.variants.bias and (self.model.kind != "smfr" or self.experiment != "bpmnist"):
             raise ConfigError("variants.bias: only applies to model.kind smfr on the bpmnist "
                               "experiment")

@@ -136,11 +136,15 @@ class ModelBundle:
             return self.net.forward(inputs, rng=rng, eval_mode=eval_mode)
 
     def logits(self, out_blocks: Tensor) -> Tensor:
-        """Classification logits: blocks directly for digit tasks, affine head
-        over the single output block for the image task."""
+        """Classification logits as blocks [batch, N, classes]: the output
+        blocks themselves for digit tasks; for the image task one block, the
+        affine head over the single output block.  The head's product stays
+        2-D: over the 3-D block it would round its last bits differently."""
         if self.head is None:
             return out_blocks
-        return self.head.forward(T.reshape(out_blocks, (out_blocks.shape[0], self.shape[2])))
+        b = out_blocks.shape[0]
+        flat = self.head.forward(T.reshape(out_blocks, (b, self.shape[2])))
+        return T.reshape(flat, (b, 1, self.head.cfg.output_size))
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -163,22 +167,6 @@ def replay_init(cfg: ExperimentConfig):
     rngs = {name: np.random.default_rng(s) for name, s in zip(names, streams)}
     pset = bpmnist_task.build_permutation_set(rngs["init"]) if cfg.experiment == "bpmnist" else None
     return rngs, pset, build_model(cfg, rngs["init"])
-
-
-def block_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean CE over every target block; logits [b, N, d] or [b, d]."""
-    if len(logits.shape) == 3:
-        b, n, d = logits.shape
-        flat = T.reshape(logits, (b * n, d))
-        return T.cross_entropy_loss(flat, targets.reshape(-1))
-    return T.cross_entropy_loss(logits, targets.reshape(-1))
-
-
-def predictions(logits: Tensor) -> np.ndarray:
-    data = logits.data
-    if data.ndim == 3:
-        return np.argmax(data, axis=2)
-    return np.argmax(data, axis=1)[:, None]
 
 
 # Rows per evaluation forward, chosen by measurement so that a forward's
@@ -223,7 +211,7 @@ def make_predict(bundle: ModelBundle):
         # also keeps the image task's head, applied after the forward, off the graph
         with T.no_grad():
             out, _ = bundle.forward(inputs, eval_mode=True)
-            return predictions(bundle.logits(out))
+            return np.argmax(bundle.logits(out).data, axis=2)
     return predict
 
 
@@ -404,7 +392,7 @@ def run_addmul(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle
         def batch_loss(step):
             batch = addmul_task.gen_addmul_batch(stage, cfg.batch_size, rngs["data"], alt)
             out, traces = bundle.forward(batch.inputs, rng=rngs["routing"])
-            return block_cross_entropy(bundle.logits(out), batch.targets), traces, None
+            return T.cross_entropy_loss(bundle.logits(out), batch.targets), traces, None
         return batch_loss
 
     window = _Window(cfg.regularization.threshold)
@@ -450,7 +438,7 @@ def run_doubleadd(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBun
     def batch_loss(step):
         batch = doubleadd_task.gen_doubleadd_batch(cfg.batch_size, rngs["data"], alt)
         out, traces = bundle.forward(batch.inputs, rng=rngs["routing"])
-        return block_cross_entropy(bundle.logits(out), batch.targets), traces, None
+        return T.cross_entropy_loss(bundle.logits(out), batch.targets), traces, None
 
     # the summary reports the last evaluation; zeros if there was none
     evals = [{"train_accuracy": 0.0, "ood_accuracy": 0.0}]
@@ -510,7 +498,7 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
 
     def predict(inputs):
         outputs, _ = _algo_unroll(bundle, inputs, eval_mode=True)
-        return predictions(outputs[-1])
+        return np.argmax(outputs[-1].data, axis=2)
 
     def eval_iteration(step: int, n: int) -> float:
         if (step, n) not in accuracies:
@@ -522,11 +510,11 @@ def run_algo(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundle,
         episode = algo_task.gen_algo_episode(cfg.batch_size, 2, rngs["data"])
         outputs, traces = _algo_unroll(bundle, episode.batch().inputs, rng=rngs["routing"])
         if cfg.loss_per_step:
-            losses = [block_cross_entropy(out, episode.states[:, t + 1])
+            losses = [T.cross_entropy_loss(out, episode.states[:, t + 1])
                       for t, out in enumerate(outputs)]
             loss = sum(losses[1:], losses[0]) * (1.0 / len(losses))
         else:
-            loss = block_cross_entropy(outputs[-1], episode.final)
+            loss = T.cross_entropy_loss(outputs[-1], episode.final)
         return loss, traces, None
 
     def evaluate(step):
@@ -592,7 +580,7 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundl
                                                      mnist["train_labels"], cfg.batch_size,
                                                      rngs["data"], indicator)
         out, traces = bundle.forward(batch.inputs, rng=rngs["routing"])
-        loss = block_cross_entropy(bundle.logits(out), batch.targets)
+        loss = T.cross_entropy_loss(bundle.logits(out), batch.targets)
         bias = (apply_smfr_bias(traces, batch.metadata["perm_id"], pset, step)
                 if cfg.variants.bias else None)
         return loss, traces, bias

@@ -514,16 +514,20 @@ def hard_argmax(logits: Tensor, axis: int) -> Tensor:
 
 
 def cross_entropy_loss(logits: Tensor, target_index) -> Tensor:
-    """Mean softmax cross-entropy over a [batch, classes] tensor."""
-    if logits.data.ndim != 2:
-        raise ValueError(f"cross_entropy_loss expects [batch, classes], got shape {logits.data.shape}")
+    """Mean softmax cross-entropy over logits [..., classes], with integer
+    targets shaped like the leading axes.  It runs on the logits read as
+    [rows, classes], a view, so a 2-D ``logits`` is the plain batch loss."""
     targets = np.asarray(target_index, dtype=np.int64)
-    n, c = logits.data.shape
-    if targets.shape != (n,):
-        raise ValueError(f"target shape {targets.shape} does not match batch size {n}")
+    if logits.data.ndim == 0 or targets.shape != logits.data.shape[:-1]:
+        raise ValueError(f"targets {targets.shape} do not match the leading axes of "
+                         f"logits {logits.data.shape}")
+    c = logits.data.shape[-1]
+    rows = logits.data.reshape(-1, c)
+    targets = targets.reshape(-1)
+    n = len(targets)
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= c:
         raise ValueError("target indices out of range")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    shifted = rows - rows.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - lse
     data = np.asarray(-log_probs[np.arange(n), targets].mean(), dtype=logits.data.dtype)
@@ -531,7 +535,7 @@ def cross_entropy_loss(logits: Tensor, target_index) -> Tensor:
     def backward(g):
         probs = np.exp(log_probs)
         probs[np.arange(n), targets] -= 1.0
-        _accumulate(logits, g * probs / n)
+        _accumulate(logits, (g * probs / n).reshape(logits.data.shape))
 
     return _make(data, (logits,), backward)
 

@@ -141,8 +141,7 @@ class Transformer:
         if n != cfg.input_blocks or d != cfg.block_size:
             raise ValueError(
                 f"transformer expected [batch, {cfg.input_blocks}, {cfg.block_size}], got {blocks.shape}")
-        pos = T.reshape(self.pos_embed, (1, cfg.input_blocks, cfg.model_width))
-        h = T.affine(blocks, *self.in_proj, residual=pos)
+        h = T.affine(blocks, *self.in_proj, residual=self.pos_embed)
         traces = []
         for attn, ffn in zip(self.enc_attn, self.enc_ffn):
             h, w = attn.forward(h, h)

@@ -5,6 +5,8 @@ fused ``affine``, ``attention``, ``mix``, ``gate`` and ``band_excess`` nodes
 replaced, with their code unchanged apart from the ``T.`` prefix on the
 engine's helpers.  The composed forms below chain them as the models did
 before the fusion, so a test can compare a fused node with them bit for bit.
+``block_cross_entropy`` is the harness's loss from before
+``cross_entropy_loss`` took logit blocks, unchanged.
 """
 
 import numpy as np
@@ -101,3 +103,12 @@ def band_excess(xs, threshold: float) -> Tensor:
         term = T.sum_all(T.mul(diff, diff))
         acc = term if acc is None else T.add(acc, term)
     return acc
+
+
+def block_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean CE over every target block; logits [b, N, d] or [b, d]."""
+    if len(logits.shape) == 3:
+        b, n, d = logits.shape
+        flat = T.reshape(logits, (b * n, d))
+        return T.cross_entropy_loss(flat, targets.reshape(-1))
+    return T.cross_entropy_loss(logits, targets.reshape(-1))

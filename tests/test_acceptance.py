@@ -208,6 +208,9 @@ def op_cases(rng):
     trunk28[:, 6:] = [[-1.2, 0.3], [0.9, -0.1]]
     w223 = block_ops.normal(size=(2, 2, 3))
     banded2 = np.array([[1.4, -0.2], [-0.9, 0.05], [0.3, 2.2]])
+    block_logits = np.random.default_rng(5)
+    logits243 = block_logits.normal(size=(2, 4, 3))
+    targets24 = block_logits.integers(0, 3, size=(2, 4))
 
     def weighted(op_result, w):
         return T.sum_all(T.mul(op_result, T.tensor(w)))
@@ -244,6 +247,7 @@ def op_cases(rng):
         # weights not normalized: the node does not need them to be
         ("mix", lambda p, q: weighted(T.mix(p, q), w235b), [mixing243, blocks245]),
         ("gate", gated, [routed223, trunk28]),
+        ("cross_entropy_blocks", lambda p: T.cross_entropy_loss(p, targets24), [logits243]),
     ]
 
 

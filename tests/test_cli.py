@@ -308,7 +308,11 @@ class TestInspectCommand:
     def test_model_without_routing(self, tmp_path, capsys):
         ckpt = self.checkpoint_from_trial(tmp_path, capsys, kind="fnn")
         assert main(["inspect", "--checkpoint", ckpt]) == 1
-        assert "inspect" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "inspect" in err
+        # the model kind, not the harness class, and the file
+        assert "model.kind fnn" in err and ckpt in err
+        assert "ModelBundle" not in err
 
 
 class TestReportCommand:

@@ -163,6 +163,23 @@ class TestConfigValidation:
                   if isinstance(functools.reduce(getattr, key.split("."), cfg), float)]
         assert sorted(floats) == sorted(FLOAT_FIELDS)
 
+    def test_every_numeric_field_rejects_minus_one(self):
+        # a size of -1 fails deep inside a trial, or runs and records NaN
+        cfg = ExperimentConfig()
+        wrong = []
+        for key in valid_override_keys():
+            value = functools.reduce(getattr, key.split("."), cfg)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                continue
+            try:
+                ExperimentConfig.from_dict(apply_overrides({}, [(key, -1)])).validate()
+                message = "accepted"
+            except ConfigError as err:
+                message = str(err)
+            if not message.startswith(f"{key}: "):
+                wrong.append((key, message))
+        assert not wrong
+
     def test_variant_constraints(self):
         cfg = ExperimentConfig()
         cfg.model.kind = "fnn"
@@ -856,11 +873,12 @@ class TestTrainingGraph:
         # the benchmark's doubleadd SMFR model: each FNN layer is one affine
         # node, each Multiplexer's blend one mix node, each Fnnr's gated
         # blend one gate node behind its logit slice, and the penalty one
-        # band_excess node over every logit tensor, so splitting any of them
-        # again raises the count
+        # band_excess node over every logit tensor, and the loss one node
+        # on the output blocks, so splitting any of them again raises the
+        # count
         model = {"kind": "smfr", "stack_width": 8, "stack_depth": 1,
                  "fnn_hidden": [100], "attention": "softmax"}
-        assert self.training_loss_nodes(tmp_path, monkeypatch, model=model) == [32]
+        assert self.training_loss_nodes(tmp_path, monkeypatch, model=model) == [31]
 
     def test_algo_smfr_training_loss_node_count(self, tmp_path, monkeypatch):
         # the depth-3 cell of the algo SMFR gate: four layers, each with the
@@ -868,7 +886,7 @@ class TestTrainingGraph:
         model = {"kind": "smfr", "stack_width": 6, "stack_depth": 3,
                  "fnn_hidden": [100], "attention": "softmax"}
         assert self.training_loss_nodes(tmp_path, monkeypatch, experiment="algo",
-                                        model=model) == [123]
+                                        model=model) == [122]
 
     def transformer_training_loss(self, tmp_path, monkeypatch):
         """The loss of one training step of the benchmark's algo Transformer,
@@ -890,12 +908,13 @@ class TestTrainingGraph:
 
     def test_transformer_training_loss_node_count(self, tmp_path, monkeypatch):
         # the benchmark's algo Transformer: each projection is one affine
-        # node that also adds its residual, each attention one attention
-        # node, so splitting either again raises the count, and the decoder
-        # starts from the shared queries, so tiling them to the batch adds a
-        # node per unrolled iteration
+        # node that also adds its residual (the input projection its 2-D
+        # position embeddings), each attention one attention node and the
+        # loss one node on the output blocks, so splitting any of them again
+        # raises the count, and the decoder starts from the shared queries,
+        # so tiling them to the batch adds a node per unrolled iteration
         loss, _ = self.transformer_training_loss(tmp_path, monkeypatch)
-        assert graph_nodes(loss) == 53
+        assert graph_nodes(loss) == 50
 
     def test_transformer_training_graph_bytes(self, tmp_path, monkeypatch):
         # the arrays a training step's graph keeps alive until the next

@@ -296,6 +296,36 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             T.cross_entropy_loss(T.tensor([0.0, 1.0]), [0])
 
+    @pytest.mark.parametrize("shape", [(4, 3, 6), (4, 1, 6)], ids=["blocks", "one-block"])
+    def test_blocks_are_bitwise_the_flattened_loss(self, shape):
+        # the logits are a node with a second consumer, so the loss's
+        # gradient meets the other one in the node's buffer
+        rng = np.random.default_rng(12)
+        x, w = rng.normal(size=shape[:-1] + (5,)), rng.normal(size=(5, shape[-1]))
+        c = T.tensor(rng.normal(size=shape))
+        targets = rng.integers(0, shape[-1], size=shape[:-1])
+        runs = []
+        for loss_fn in (T.cross_entropy_loss, composed.block_cross_entropy):
+            params = [T.parameter(x.copy()), T.parameter(w.copy())]
+            logits = T.affine(*params)
+            loss = loss_fn(logits, targets)
+            T.add(loss, T.sum_all(T.mul(logits, c))).backward(params=params)
+            runs.append([loss.data.tobytes()] + [p.grad.tobytes() for p in params])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("logits_shape, targets_shape", [
+        ((4, 3, 6), (4,)),        # one target per example, not per block
+        ((4, 3, 6), (12,)),       # the flattened targets
+        ((4, 3, 6), (4, 3, 1)),
+        ((4, 6), (4, 1)),
+        ((), ()),                 # no class axis
+    ])
+    def test_rejects_targets_not_shaped_like_the_leading_axes(self, logits_shape,
+                                                              targets_shape):
+        with pytest.raises(ValueError, match="leading axes"):
+            T.cross_entropy_loss(T.tensor(np.zeros(logits_shape)),
+                                 np.zeros(targets_shape, dtype=np.int64))
+
 
 class TestShapeOps:
     def test_reshape_round_trip_gradient(self):
