@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import ctypes
 import hashlib
 import os
 import sys
@@ -334,17 +335,42 @@ class _Window:
                 "longest_run_beyond_band": self.longest_run}
 
 
+def _train_step(bundle: ModelBundle, window: _Window, batch_loss, step: int, params):
+    """Run training step ``step``; returns (its loss, its penalty) as floats.
+
+    The step's graph (the loss, the traces, the penalty and ``extra``) lives
+    only in this call, so it is freed before the next step's ``batch_loss``
+    builds its own and before any evaluation runs."""
+    cfg = bundle.cfg
+    loss, traces, extra = batch_loss(step)
+    routing = [tr for tr in traces if isinstance(tr, LayerTrace)]
+    total, reg_value = loss, 0.0
+    if cfg.regularization.enabled and routing:
+        reg = routing_regularization_loss(routing, cfg.regularization.threshold)
+        total, reg_value = loss + reg, float(reg.data)
+    if extra is not None:
+        total = total + extra
+    if not np.isfinite(total.data):
+        raise NonFiniteLoss(step)
+    total.backward(params=params)
+    clip_scale = clip_global_norm(params, cfg.clip_norm)
+    adam_step(bundle.opt)
+    window.update(routing, clip_scale)
+    return float(loss.data), reg_value
+
+
 def _train(bundle: ModelBundle, writer: MetricsWriter, window: _Window, batch_loss, evaluate,
            steps: int, start: int = 0, stop=None, eval_last: bool = False):
     """Train from step ``start`` to step ``steps``; returns (the last step,
     whether ``stop`` ended the training).
 
-    A step takes ``batch_loss(step) -> (loss, traces, extra or None)``, adds
-    the routing penalty and ``extra`` (the image task's routing bias), and
-    runs backward, clip and Adam; a total loss that is not finite raises
-    ``NonFiniteLoss`` before any of them runs.  The penalty and the window
-    read the Multiplexer and gate logits of the ``LayerTrace``s only;
-    attention traces carry no logits.  Every ``eval_every``-th step, counted from the
+    A step (``_train_step``) takes ``batch_loss(step) -> (loss, traces,
+    extra or None)``, adds the routing penalty and ``extra`` (the image
+    task's routing bias), and runs backward, clip and Adam; a total loss
+    that is not finite raises ``NonFiniteLoss`` before any of them runs.
+    One step's graph is alive at a time.  The penalty and the window read
+    the Multiplexer and gate logits of the ``LayerTrace``s only; attention
+    traces carry no logits.  Every ``eval_every``-th step, counted from the
     start of the trial, and the last step when ``eval_last`` is set, writes
     a metrics record: the fields of ``evaluate(step)``, the step's loss and
     penalty, and the window's fields.  Training stops after a record whose
@@ -353,26 +379,13 @@ def _train(bundle: ModelBundle, writer: MetricsWriter, window: _Window, batch_lo
     params = list(bundle.params.values())
     step = start
     while step < steps:
-        loss, traces, extra = batch_loss(step)
-        routing = [tr for tr in traces if isinstance(tr, LayerTrace)]
-        total, reg_value = loss, 0.0
-        if cfg.regularization.enabled and routing:
-            reg = routing_regularization_loss(routing, cfg.regularization.threshold)
-            total, reg_value = loss + reg, float(reg.data)
-        if extra is not None:
-            total = total + extra
-        if not np.isfinite(total.data):
-            raise NonFiniteLoss(step)
-        total.backward(params=params)
-        clip_scale = clip_global_norm(params, cfg.clip_norm)
-        adam_step(bundle.opt)
-        window.update(routing, clip_scale)
+        loss, reg_value = _train_step(bundle, window, batch_loss, step, params)
         step += 1
         if step % cfg.eval_every == 0 or (eval_last and step == steps):
             eval_start = time.perf_counter()
             fields = evaluate(step)
             writer.write({"record": "metrics", "step": step, **fields,
-                          "loss": float(loss.data), "regularization_loss": reg_value,
+                          "loss": loss, "regularization_loss": reg_value,
                           **window.drain(step, eval_start)})
             if stop is not None and stop(fields):
                 return step, True
@@ -475,7 +488,10 @@ def _algo_unroll(bundle: ModelBundle, inputs: np.ndarray, rng=None, eval_mode=Fa
     """Run the model recurrently over encoded episodes [batch, 5 + T, d]:
     each iteration sees the state and that iteration's rule block, and its
     raw output blocks feed back as the next state.  Returns (the output
-    blocks of every iteration, the traces of every iteration in order)."""
+    blocks of every iteration, traces).  A training unroll returns every
+    iteration's traces in order, which the penalty and the window read; an
+    eval-mode unroll returns none and keeps only its state and outputs, since
+    an iteration's attention traces outweigh its output."""
     n_vars = algo_task.NUM_VARS
     state = Tensor(inputs[:, :n_vars])
     outputs, traces = [], []
@@ -484,7 +500,8 @@ def _algo_unroll(bundle: ModelBundle, inputs: np.ndarray, rng=None, eval_mode=Fa
         state, tr = bundle.forward(T.concat([state, rule], axis=1), rng=rng,
                                    eval_mode=eval_mode)
         outputs.append(state)
-        traces += tr
+        if not eval_mode:
+            traces += tr
     return outputs, traces
 
 
@@ -692,6 +709,31 @@ def code_fingerprint(package: str | None = None) -> str:
     return fingerprint
 
 
+# glibc's mallopt parameters (malloc.h) and the largest mmap threshold it
+# takes on a 64-bit build
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
+_heap_kept_mapped = False
+
+
+def _keep_heap_mapped() -> None:
+    """Have glibc serve a step's arrays from the heap and trim it only past
+    1 GiB free, so each step reuses the pages the previous step's graph
+    freed instead of faulting them back in.  Acts once per process, on this
+    process only; without glibc's ``mallopt`` it does nothing."""
+    global _heap_kept_mapped
+    if _heap_kept_mapped:
+        return
+    _heap_kept_mapped = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows takes no None
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 ** 30)  # 1 GiB of free heap top before a trim
+
+
 def run_trial(cfg: ExperimentConfig, mnist=None) -> dict:
     """Run one seeded trial end to end, writing results/<exp>/<hash>/<seed>.jsonl.
 
@@ -702,8 +744,10 @@ def run_trial(cfg: ExperimentConfig, mnist=None) -> dict:
     ``non_finite_loss`` and the ``steps`` that ran before it, and writes no
     final checkpoint.  A trial that raises or is interrupted leaves only its
     ``.part`` file, ending in an ``aborted`` record.  Returns the final
-    summary record (also the last line of the file)."""
+    summary record (also the last line of the file).  It keeps freed heap
+    memory mapped for the rest of the process (``_keep_heap_mapped``)."""
     cfg.validate()
+    _keep_heap_mapped()
     h = config_hash(cfg)
     path = results_path(cfg.results_dir, cfg.experiment, h, cfg.seed)
     writer = MetricsWriter(path)

@@ -43,7 +43,6 @@ class RoutingTrace:
     also hold ``gates`` [batch, outputs].
     """
 
-    kind: str
     layers: list
 
 
@@ -59,11 +58,11 @@ def extract_routing_trace(model, inputs: np.ndarray) -> RoutingTrace:
     if not traces:
         raise ValueError(f"{type(model).__name__} has no routing decisions to inspect")
     if isinstance(traces[0], LayerTrace):
-        return RoutingTrace("smfr", [
+        return RoutingTrace([
             {"attention": np.transpose(tr.mux_weights.data, (0, 2, 1)),
              "gates": tr.gate_values.data, "routed": tr.routed.data}
             for tr in traces])
-    return RoutingTrace("transformer", [
+    return RoutingTrace([
         {"attention": tr.weights.data, "routed": tr.output.data}
         for tr in traces if tr.stage != "decoder_self"])
 

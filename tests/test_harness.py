@@ -5,6 +5,7 @@ import functools
 import json
 import os
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -434,6 +435,26 @@ class TestChunkedEvaluation:
         assert np.array_equal(
             hits, np.all(np.argmax(one_pass[-1].data, axis=2) == batch.targets, axis=1))
         assert_chunks_match_one_pass(model, np.concatenate(finals), one_pass[-1].data)
+
+
+class TestAlgoUnroll:
+    @pytest.mark.parametrize("model", list(EVAL_MODELS.values()), ids=list(EVAL_MODELS))
+    def test_eval_unroll_keeps_no_traces(self, model):
+        bundle = build_model(ExperimentConfig.from_dict({"experiment": "algo", "model": model}),
+                             np.random.default_rng(0))
+        inputs = algo_task.gen_algo_episode(50, 9, np.random.default_rng(1)).batch().inputs
+        outputs, traces = training._algo_unroll(bundle, inputs, eval_mode=True)
+        assert len(outputs) == 9 and traces == []
+        # the same iterations one forward at a time, each keeping its traces
+        state, per_forward = inputs[:, :algo_task.NUM_VARS], []
+        for t in range(algo_task.NUM_VARS, inputs.shape[1]):
+            out, tr = bundle.forward(np.concatenate([state, inputs[:, t:t + 1]], axis=1),
+                                     eval_mode=True)
+            state, per_forward = out.data, per_forward + [len(tr)]
+        assert np.array_equal(outputs[-1].data, state)
+        # a training unroll still returns every iteration's traces
+        _, traces = training._algo_unroll(bundle, inputs, rng=np.random.default_rng(2))
+        assert len(traces) == sum(per_forward) == 9 * per_forward[0]
 
 
 class TestNoisyPermutation:
@@ -924,6 +945,83 @@ class TestTrainingGraph:
         # pre-residual product again raises it
         loss, params = self.transformer_training_loss(tmp_path, monkeypatch)
         assert graph_bytes(loss, params) <= 7_884_872
+
+    @pytest.mark.parametrize("experiment, model", [
+        ("doubleadd", {"kind": "smfr", "stack_width": 8, "stack_depth": 1,
+                       "fnn_hidden": [100], "attention": "softmax"}),
+        ("algo", EVAL_MODELS["transformer"]),
+    ], ids=["doubleadd-smfr", "algo-transformer"])
+    def test_one_training_graph_is_alive_at_a_time(self, tmp_path, monkeypatch, experiment,
+                                                   model):
+        # a weak reference to each step's loss array: every later forward
+        # (the next step's batch loss) and every evaluation must find the
+        # losses of the steps before it freed, graph and all
+        losses, freed = [], []
+        loss_fn, forward = T.cross_entropy_loss, training.ModelBundle.forward
+
+        def spy_loss(logits, targets):
+            loss = loss_fn(logits, targets)
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        def spy_forward(bundle, inputs, rng=None, eval_mode=False):
+            freed.append([ref() is None for ref in losses])
+            return forward(bundle, inputs, rng=rng, eval_mode=eval_mode)
+
+        def spy_evaluate(*args):
+            freed.append([ref() is None for ref in losses])
+            return 0.0
+        monkeypatch.setattr(T, "cross_entropy_loss", spy_loss)
+        monkeypatch.setattr(training.ModelBundle, "forward", spy_forward)
+        monkeypatch.setattr(training, "evaluate_accuracy", spy_evaluate)
+        run_trial(ExperimentConfig.from_dict(tiny_config(
+            tmp_path, experiment=experiment, model=model, batch_size=16, max_steps=3,
+            eval_every=2)))
+        assert len(losses) == 3
+        # the step-2 evaluation saw two losses, the final one all three
+        assert {len(seen) for seen in freed} >= {1, 2, 3}
+        assert all(all(seen) for seen in freed)
+
+
+class TestKeepHeapMapped:
+    class Library:
+        """A C library whose ``mallopt`` records its calls."""
+
+        def __init__(self):
+            self.calls = []
+
+        def mallopt(self, param, value):
+            self.calls.append((param, value))
+            return 1
+
+    @pytest.mark.parametrize("missing", ["library", "mallopt"])
+    def test_trial_runs_without_mallopt(self, tmp_path, monkeypatch, missing):
+        def cdll(name):
+            if missing == "library":
+                raise OSError("no C library")
+            return object()
+        monkeypatch.setattr(training, "_heap_kept_mapped", False)
+        monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+        assert run_trial(ExperimentConfig.from_dict(tiny_config(tmp_path)))["completed"]
+
+    def test_sets_mmap_and_trim_thresholds_once_per_process(self, tmp_path, monkeypatch):
+        library = self.Library()
+        monkeypatch.setattr(training, "_heap_kept_mapped", False)
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: library)
+        for seed in (0, 1):
+            run_trial(ExperimentConfig.from_dict(tiny_config(tmp_path, seed=seed)))
+        assert library.calls == [(-3, 32 * 1024 * 1024), (-1, 2 ** 30)]
+
+    def test_a_second_setting_in_the_process_is_harmless(self, tmp_path, monkeypatch):
+        # the process's own C library, set twice; the trials still agree
+        losses = []
+        for name in ("first", "second"):
+            monkeypatch.setattr(training, "_heap_kept_mapped", False)
+            cfg = ExperimentConfig.from_dict(tiny_config(
+                tmp_path, results_dir=str(tmp_path / name)))
+            assert run_trial(cfg)["completed"]
+            losses.append([r["loss"] for r in metrics_records(cfg)])
+        assert losses[0] == losses[1]
 
 
 def metrics_records(cfg):

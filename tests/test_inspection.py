@@ -65,7 +65,6 @@ class TestTraceExtraction:
         model = random_smfr(stack_width=3)
         inputs = np.random.default_rng(1).normal(size=(6, 3, 4))
         trace = extract_routing_trace(model, inputs)
-        assert trace.kind == "smfr"
         assert len(trace.layers) == 2
         assert trace.layers[0]["attention"].shape == (6, 3, 3)
         assert trace.layers[1]["attention"].shape == (6, 2, 3)
@@ -116,7 +115,6 @@ class TestTraceExtraction:
         model = Transformer(cfg, np.random.default_rng(8))
         inputs = np.random.default_rng(9).normal(size=(3, 3, 4))
         trace = extract_routing_trace(model, inputs)
-        assert trace.kind == "transformer"
         assert len(trace.layers) == 4
         for entry in trace.layers:
             assert np.allclose(entry["attention"].sum(axis=-1), 1.0, atol=1e-9)
@@ -148,16 +146,16 @@ class TestSharpness:
     def test_one_hot_trace_scores_one(self):
         att = np.zeros((2, 3, 4))
         att[..., 1] = 1.0
-        assert attention_sharpness(RoutingTrace("smfr", [layer(att)])) == 1.0
+        assert attention_sharpness(RoutingTrace([layer(att)])) == 1.0
 
     def test_uniform_trace_scores_inverse_sources(self):
         att = np.full((2, 3, 4), 0.25)
-        assert attention_sharpness(RoutingTrace("smfr", [layer(att)])) == pytest.approx(0.25)
+        assert attention_sharpness(RoutingTrace([layer(att)])) == pytest.approx(0.25)
 
     def test_mixed_trace_is_mean_of_maxima(self):
         att = np.array([[[0.7, 0.3], [0.5, 0.5]]])
         expected = (0.7 + 0.5) / 2
-        assert attention_sharpness(RoutingTrace("smfr", [layer(att)])) == pytest.approx(expected)
+        assert attention_sharpness(RoutingTrace([layer(att)])) == pytest.approx(expected)
 
     def test_bounds_on_random_model(self):
         model = random_smfr(seed=10, input_blocks=4)
@@ -170,29 +168,29 @@ class TestSharpness:
 class TestFairness:
     def test_uniform_mass_is_fair(self):
         att = np.full((3, 2, 4), 0.25)
-        assert attention_fairness(RoutingTrace("smfr", [layer(att)])) == pytest.approx(1.0)
+        assert attention_fairness(RoutingTrace([layer(att)])) == pytest.approx(1.0)
 
     def test_single_source_mass_is_unfair(self):
         att = np.zeros((3, 2, 4))
         att[..., 2] = 1.0
-        assert attention_fairness(RoutingTrace("smfr", [layer(att)])) == pytest.approx(0.0)
+        assert attention_fairness(RoutingTrace([layer(att)])) == pytest.approx(0.0)
 
     def test_only_first_layer_counts(self):
         balanced = np.full((2, 2, 4), 0.25)
         skewed = np.zeros((2, 2, 4))
         skewed[..., 0] = 1.0
-        trace = RoutingTrace("smfr", [layer(balanced), layer(skewed)])
+        trace = RoutingTrace([layer(balanced), layer(skewed)])
         assert attention_fairness(trace) == pytest.approx(1.0)
 
     def test_idempotent_under_batch_duplication(self):
         att = np.random.default_rng(12).dirichlet(np.ones(4), size=(5, 3))
         double = np.concatenate([att, att], axis=0)
-        a = attention_fairness(RoutingTrace("smfr", [layer(att)]))
-        b = attention_fairness(RoutingTrace("smfr", [layer(double)]))
+        a = attention_fairness(RoutingTrace([layer(att)]))
+        b = attention_fairness(RoutingTrace([layer(double)]))
         assert a == pytest.approx(b)
 
     def test_zero_mass_scores_zero(self):
-        assert attention_fairness(RoutingTrace("smfr", [layer(np.zeros((1, 2, 4)))])) == 0.0
+        assert attention_fairness(RoutingTrace([layer(np.zeros((1, 2, 4)))])) == 0.0
 
 
 class TestPermutationDifference:
@@ -242,7 +240,7 @@ class TestPermutationDifference:
 
 class TestGateSummary:
     def test_constant_gates(self):
-        trace = RoutingTrace("smfr", [layer(np.full((4, 2, 3), 1 / 3),
+        trace = RoutingTrace([layer(np.full((4, 2, 3), 1 / 3),
                                             gates=np.full((4, 2), 0.5))])
         assert gate_summary(trace) == {"gate_mean_layer0": 0.5}
 
@@ -258,9 +256,9 @@ class TestGateSummary:
         g1 = rng.random(size=(4, 2))
         g2 = rng.random(size=(4, 2))
         att = np.full((4, 2, 3), 1 / 3)
-        s1 = gate_summary(RoutingTrace("smfr", [layer(att, gates=g1)]))
-        s2 = gate_summary(RoutingTrace("smfr", [layer(att, gates=g2)]))
-        joined = gate_summary(RoutingTrace("smfr", [
+        s1 = gate_summary(RoutingTrace([layer(att, gates=g1)]))
+        s2 = gate_summary(RoutingTrace([layer(att, gates=g2)]))
+        joined = gate_summary(RoutingTrace([
             layer(np.concatenate([att, att]), gates=np.concatenate([g1, g2]))]))
         expected = (s1["gate_mean_layer0"] + s2["gate_mean_layer0"]) / 2
         assert joined["gate_mean_layer0"] == pytest.approx(expected)
