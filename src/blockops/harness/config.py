@@ -181,6 +181,10 @@ class ExperimentConfig:
                 "variants.alternate_split: only applies to the addmul and doubleadd experiments")
         if self.loss_per_step and self.experiment != "algo":
             raise ConfigError("loss_per_step: only applies to the algo experiment")
+        # the 1-9 iteration sweep runs on evaluation steps only
+        if self.experiment == "algo" and self.full_eval_every % self.eval_every:
+            raise ConfigError(f"full_eval_every: must be a multiple of eval_every on the algo "
+                              f"experiment, got {self.full_eval_every} and {self.eval_every}")
         return self
 
     def to_dict(self) -> dict:

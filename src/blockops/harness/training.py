@@ -578,9 +578,12 @@ def run_bpmnist(cfg: ExperimentConfig, writer: MetricsWriter, bundle: ModelBundl
     sub_val = bpmnist_task.bpmnist_eval_sets(pset, mnist["test_images"], mnist["test_labels"],
                                              "validation", indicator,
                                              limit=cfg.bpmnist.eval_subset, rng=rngs["eval"])
-    train_eval = bpmnist_task.gen_bpmnist_train_batch(
-        pset, mnist["train_images"], mnist["train_labels"],
-        min(cfg.bpmnist.eval_subset * 4, len(mnist["train_labels"])), rngs["eval"], indicator)
+    # a training batch's draws from the eval stream, encoded per chunk
+    train_rows = bpmnist_task.draw_train_rows(
+        pset, mnist["train_labels"],
+        min(cfg.bpmnist.eval_subset * 4, len(mnist["train_labels"])), rngs["eval"])
+    train_eval = bpmnist_task.bpmnist_rows(pset, mnist["train_images"], mnist["train_labels"],
+                                           *train_rows, indicator)
     probe = bpmnist_task.gen_bpmnist_train_batch(
         pset, mnist["train_images"], mnist["train_labels"],
         cfg.bpmnist.probe_size, rngs["probe"], indicator)

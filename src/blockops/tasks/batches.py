@@ -6,16 +6,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TaskBatch", "one_hot", "indicator_block"]
+__all__ = ["TaskBatch", "EncodedRows", "one_hot", "indicator_block"]
+
+
+class EncodedRows:
+    """Block inputs kept as the integer columns that define their rows.
+
+    ``encode(*columns)`` turns row-aligned columns into blocks [rows, B, d].
+    A slice encodes only the rows it selects, so an evaluation that reads
+    one chunk at a time never holds the whole encoding; any other index, or
+    ``np.asarray``, encodes every row.  An encoder that works row by row
+    gives every chunk the same bits as those rows of the whole encoding.
+    """
+
+    def __init__(self, encode, *columns):
+        self.encode = encode
+        self.columns = columns
+        self.shape = (len(columns[0]),) + encode(*(c[:1] for c in columns)).shape[1:]
+        self.ndim = len(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.encode(*(c[key] for c in self.columns))
+        return np.asarray(self)[key]
+
+    def __array__(self, dtype=None, copy=None):
+        blocks = self.encode(*self.columns)
+        return blocks if dtype is None else blocks.astype(dtype, copy=False)
 
 
 @dataclass
 class TaskBatch:
-    """Inputs as a block tensor [batch, blocks, block_size], integer targets
-    [batch, target_blocks], and free-form metadata (pair values, permutation
-    ids and the like) for oracles and inspection."""
+    """Inputs as a block tensor [batch, blocks, block_size] (an array, or
+    ``EncodedRows`` for an evaluation set), integer targets [batch,
+    target_blocks], and free-form metadata (pair values, permutation ids
+    and the like) for oracles and inspection."""
 
-    inputs: np.ndarray
+    inputs: np.ndarray | EncodedRows
     targets: np.ndarray
     metadata: dict = field(default_factory=dict)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batches import TaskBatch, indicator_block
+from .batches import EncodedRows, TaskBatch, indicator_block
 
 __all__ = [
     "NUM_BANDS",
@@ -29,6 +29,8 @@ __all__ = [
     "image_to_bands",
     "permute_bands",
     "encode_bpmnist",
+    "draw_train_rows",
+    "bpmnist_rows",
     "gen_bpmnist_train_batch",
     "bpmnist_eval_sets",
 ]
@@ -110,17 +112,17 @@ def permute_bands(bands: np.ndarray, perm) -> np.ndarray:
 
 def encode_bpmnist(images: np.ndarray, perm_ids: np.ndarray, pset: PermutationSet,
                    indicator: bool = True, dtype=np.float64) -> np.ndarray:
-    """Blocks [N, 5, 196] (4 permuted bands + indicator), or [N, 4, 196]."""
-    bands = image_to_bands(np.asarray(images, dtype=dtype))
+    """Blocks [N, 5, 196] (4 permuted bands + indicator), or [N, 4, 196],
+    written into one array."""
+    bands = image_to_bands(np.asarray(images))
     perm_ids = np.asarray(perm_ids, dtype=np.int64)
-    blocks = np.empty_like(bands)
-    for pid in np.unique(perm_ids):
-        mask = perm_ids == pid
-        blocks[mask] = permute_bands(bands[mask], pset.perms[pid])
-    if not indicator:
-        return blocks
-    ind = indicator_block(perm_ids, NUM_PERMS, BLOCK_SIZE, dtype=dtype)
-    return np.concatenate([blocks, ind[:, None, :]], axis=1)
+    blocks = np.empty((len(perm_ids), NUM_BANDS + bool(indicator), BLOCK_SIZE), dtype=dtype)
+    if indicator:
+        blocks[:, NUM_BANDS] = indicator_block(perm_ids, NUM_PERMS, BLOCK_SIZE, dtype=dtype)
+    rows, sources = np.arange(len(perm_ids)), pset.perms[perm_ids]
+    for pos in range(NUM_BANDS):
+        blocks[:, pos] = bands[rows, sources[:, pos]]
+    return blocks
 
 
 def _excluded(pset: PermutationSet, perm_ids, labels) -> np.ndarray:
@@ -130,9 +132,10 @@ def _excluded(pset: PermutationSet, perm_ids, labels) -> np.ndarray:
     return out
 
 
-def gen_bpmnist_train_batch(pset: PermutationSet, images, labels, batch_size: int,
-                            rng: np.random.Generator, indicator: bool = True) -> TaskBatch:
-    """Uniform over (image, permutation) minus the held-out combinations."""
+def draw_train_rows(pset: PermutationSet, labels, batch_size: int,
+                    rng: np.random.Generator):
+    """Image indices and permutation ids drawn uniformly over (image,
+    permutation) minus the held-out combinations."""
     labels = np.asarray(labels)
     idx = rng.integers(0, len(labels), size=batch_size)
     perm_ids = rng.integers(0, NUM_PERMS, size=batch_size)
@@ -142,15 +145,36 @@ def gen_bpmnist_train_batch(pset: PermutationSet, images, labels, batch_size: in
         idx[bad] = rng.integers(0, len(labels), size=n)
         perm_ids[bad] = rng.integers(0, NUM_PERMS, size=n)
         bad = _excluded(pset, perm_ids, labels[idx])
-    inputs = encode_bpmnist(images[idx], perm_ids, pset, indicator)
-    return TaskBatch(inputs, labels[idx][:, None].astype(np.int64),
+    return idx, perm_ids
+
+
+def _batch(inputs, labels, idx, perm_ids) -> TaskBatch:
+    return TaskBatch(inputs, np.asarray(labels)[idx][:, None].astype(np.int64),
                      metadata={"perm_id": perm_ids, "index": idx})
+
+
+def bpmnist_rows(pset: PermutationSet, images, labels, idx, perm_ids,
+                 indicator: bool = True) -> TaskBatch:
+    """The rows (image ``idx``, permutation ``perm_ids``) as an evaluation
+    set, kept as those integers and encoded per chunk."""
+    def encode(rows, perms):
+        return encode_bpmnist(images[rows], perms, pset, indicator)
+    return _batch(EncodedRows(encode, idx, perm_ids), labels, idx, perm_ids)
+
+
+def gen_bpmnist_train_batch(pset: PermutationSet, images, labels, batch_size: int,
+                            rng: np.random.Generator, indicator: bool = True) -> TaskBatch:
+    """A training batch of ``draw_train_rows``, encoded at once."""
+    idx, perm_ids = draw_train_rows(pset, labels, batch_size, rng)
+    return _batch(encode_bpmnist(images[idx], perm_ids, pset, indicator),
+                  labels, idx, perm_ids)
 
 
 def bpmnist_eval_sets(pset: PermutationSet, images, labels, role: str,
                       indicator: bool = True, limit: int | None = None,
                       rng: np.random.Generator | None = None):
-    """Per-permutation eval batches for one role.
+    """Per-permutation eval batches for one role, each kept as image indices
+    and a permutation id (``bpmnist_rows``).
 
     role: "validation" (first four perms, all digits), "test" (last four, all
     digits), or "holdout" (last four, each restricted to its held-out digit).
@@ -173,7 +197,5 @@ def bpmnist_eval_sets(pset: PermutationSet, images, labels, role: str,
                 raise ValueError("limit needs an rng for subsampling")
             idx = idx[rng.permutation(len(idx))[:limit]]
         perm_ids = np.full(len(idx), pid, dtype=np.int64)
-        inputs = encode_bpmnist(images[idx], perm_ids, pset, indicator)
-        batches.append(TaskBatch(inputs, labels[idx][:, None].astype(np.int64),
-                                 metadata={"perm_id": perm_ids, "index": idx}))
+        batches.append(bpmnist_rows(pset, images, labels, idx, perm_ids, indicator))
     return batches

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .batches import TaskBatch, one_hot, indicator_block
+from .batches import EncodedRows, TaskBatch, one_hot, indicator_block
 from .addmul import full_pairs, limited_pairs
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
 BLOCK_SIZE = 10
 NUM_TASKS = 2
 
+_FULL_PAIRS = np.asarray(full_pairs(), dtype=np.int64)
 # the limited second pairs of each split orientation
 _LIMITED_PAIRS = {split: np.asarray(limited_pairs(split), dtype=np.int64)
                   for split in (False, True)}
@@ -37,15 +38,17 @@ def encode_doubleadd(p1, p2, task_ids) -> np.ndarray:
     return inputs
 
 
-def _batch(p1, p2, task) -> TaskBatch:
+def _batch(p1, p2, task, inputs) -> TaskBatch:
     sums = np.where(task == 0, p1.sum(axis=1) % 10, p2.sum(axis=1) % 10)
-    return TaskBatch(encode_doubleadd(p1, p2, task), sums[:, None],
-                     metadata={"task": task, "p2": p2})
+    return TaskBatch(inputs, sums[:, None], metadata={"task": task, "p2": p2})
 
 
-def _batch_from_rows(rows) -> TaskBatch:
-    arr = np.asarray(rows, dtype=np.int64)
-    return _batch(arr[:, 0:2], arr[:, 2:4], arr[:, 4])
+def _eval_set(p2, task) -> TaskBatch:
+    """Every first pair with each row of ``p2`` and ``task``, first pairs
+    outermost, kept as integers and encoded per chunk."""
+    n1, n2 = len(_FULL_PAIRS), len(p2)
+    p1, p2, task = np.repeat(_FULL_PAIRS, n2, axis=0), np.tile(p2, (n1, 1)), np.tile(task, n1)
+    return _batch(p1, p2, task, EncodedRows(encode_doubleadd, p1, p2, task))
 
 
 def gen_doubleadd_batch(batch_size: int, rng: np.random.Generator,
@@ -56,17 +59,14 @@ def gen_doubleadd_batch(batch_size: int, rng: np.random.Generator,
     p1 = rng.integers(0, 10, size=(batch_size, 2))
     p2 = lim[rng.integers(0, len(lim), size=batch_size)]
     task = rng.integers(0, NUM_TASKS, size=batch_size)
-    return _batch(p1, p2, task)
+    return _batch(p1, p2, task, encode_doubleadd(p1, p2, task))
 
 
 def doubleadd_train_set(alternate_split: bool = False) -> TaskBatch:
     """Exhaustive training distribution: 100 first pairs x 25 limited second
     pairs x 2 tasks = 5000 rows."""
-    rows = [(a1, b1, a2, b2, t)
-            for a1, b1 in full_pairs()
-            for a2, b2 in limited_pairs(alternate_split)
-            for t in range(NUM_TASKS)]
-    return _batch_from_rows(rows)
+    lim = _LIMITED_PAIRS[alternate_split]
+    return _eval_set(np.repeat(lim, NUM_TASKS, axis=0), np.tile(np.arange(NUM_TASKS), len(lim)))
 
 
 def doubleadd_ood_set(alternate_split: bool = False) -> TaskBatch:
@@ -77,16 +77,12 @@ def doubleadd_ood_set(alternate_split: bool = False) -> TaskBatch:
     have sums disjoint from everything trained with that digit held fixed;
     rows with both out of range carry no such constraint.
     """
-    kept = set(limited_pairs(alternate_split))
-    a_seen = {a for a, _ in kept}
-    b_seen = {b for _, b in kept}
-    outside = [p for p in full_pairs() if p not in kept]
-    rows = [(a1, b1, a2, b2, 1)
-            for a1, b1 in full_pairs()
-            for a2, b2 in outside]
-    batch = _batch_from_rows(rows)
+    lim = _LIMITED_PAIRS[alternate_split]
+    kept = (_FULL_PAIRS[:, None] == lim[None]).all(axis=2).any(axis=1)
+    outside = _FULL_PAIRS[~kept]
+    batch = _eval_set(outside, np.ones(len(outside), dtype=np.int64))
     p2 = batch.metadata["p2"]
     batch.metadata["out_of_range"] = (
-        (~np.isin(p2[:, 0], sorted(a_seen))).astype(np.int64)
-        + (~np.isin(p2[:, 1], sorted(b_seen))).astype(np.int64))
+        (~np.isin(p2[:, 0], lim[:, 0])).astype(np.int64)
+        + (~np.isin(p2[:, 1], lim[:, 1])).astype(np.int64))
     return batch

@@ -116,6 +116,13 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "results")
 
+    def test_algo_full_eval_off_the_eval_cadence_is_a_usage_error(self, tmp_path, capsys):
+        config, _ = write_config(tmp_path, experiment="algo", eval_every=300)
+        assert main(["run", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "full_eval_every" in err and "eval_every" in err and "1000 and 300" in err
+        assert not os.path.exists(tmp_path / "results")
+
     def test_incomplete_trial_exits_nonzero(self, tmp_path, capsys):
         # addmul that never clears its switch threshold
         config, _ = write_config(tmp_path, experiment="addmul", threshold=1.0,

@@ -212,6 +212,18 @@ class TestConfigValidation:
                                   ("doubleadd", {"variants": {"alternate_split": True}})]:
             ExperimentConfig.from_dict({"experiment": experiment, **edits}).validate()
 
+    def test_algo_full_eval_must_fall_on_eval_steps(self):
+        # run_algo checks full_eval_every only on evaluation steps, so 300
+        # and the default 1000 would sweep 1-9 iterations every 3000 steps
+        with pytest.raises(ConfigError, match="full_eval_every.*eval_every.*1000 and 300"):
+            ExperimentConfig(experiment="algo", eval_every=300).validate()
+        # the benchmark's, the acceptance gates' and the bit check's cadences
+        for every, full in [(40, 1000), (500, 2500), (100, 200), (250, 1000)]:
+            ExperimentConfig(experiment="algo", eval_every=every,
+                             full_eval_every=full).validate()
+        # only algo has a full evaluation
+        ExperimentConfig(experiment="doubleadd", eval_every=300).validate()
+
     def test_from_json_errors(self):
         with pytest.raises(ConfigError, match="config is not valid JSON"):
             json_object("{bad json", "config")
@@ -435,6 +447,47 @@ class TestChunkedEvaluation:
         assert np.array_equal(
             hits, np.all(np.argmax(one_pass[-1].data, axis=2) == batch.targets, axis=1))
         assert_chunks_match_one_pass(model, np.concatenate(finals), one_pass[-1].data)
+
+
+class TestEvalEncoding:
+    @pytest.mark.parametrize("experiment", ["doubleadd", "bpmnist"])
+    def test_evaluation_encodes_one_chunk_at_a_time(self, tmp_path, monkeypatch, experiment):
+        # every encoding outside a training step is an evaluation's (or the
+        # probe's), and none may hold more rows than one evaluation chunk
+        in_step, encoded = [False], []
+        train_step = training._train_step
+
+        def spy_step(*args):
+            in_step[0] = True
+            try:
+                return train_step(*args)
+            finally:
+                in_step[0] = False
+
+        def spy_encoder(module, name):
+            encode = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                blocks = encode(*args, **kwargs)
+                if not in_step[0]:
+                    encoded.append(len(blocks))
+                return blocks
+            monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(training, "_train_step", spy_step)
+        spy_encoder(doubleadd_task, "encode_doubleadd")
+        spy_encoder(bpmnist, "encode_bpmnist")
+        data = tiny_config(tmp_path, experiment=experiment, max_steps=4, eval_every=2)
+        mnist = None
+        if experiment == "bpmnist":
+            # 1100 test rows per permutation and 1200 train_eval rows: three chunks each
+            rng = np.random.default_rng(0)
+            mnist = {"train_images": rng.random((1500, 28, 28)),
+                     "train_labels": rng.integers(0, 10, 1500),
+                     "test_images": rng.random((1100, 28, 28)),
+                     "test_labels": rng.integers(0, 10, 1100)}
+            data["bpmnist"] = {"scale": 1e-4, "eval_subset": 300, "probe_size": 16}
+        run_trial(ExperimentConfig.from_dict(data), mnist=mnist)
+        assert max(encoded) == training.EVAL_CHUNK_ROWS
 
 
 class TestAlgoUnroll:

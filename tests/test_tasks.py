@@ -20,12 +20,15 @@ from blockops.tasks.algo import (
     gen_algo_episode,
     rule_slots,
 )
-from blockops.tasks.batches import TaskBatch, indicator_block, one_hot
+from blockops.harness.training import EVAL_CHUNK_ROWS
+from blockops.tasks.batches import EncodedRows, TaskBatch, indicator_block, one_hot
 from blockops.tasks.bpmnist import (
     NUM_PERMS,
     balance_matrix,
     bpmnist_eval_sets,
+    bpmnist_rows,
     build_permutation_set,
+    draw_train_rows,
     encode_bpmnist,
     gen_bpmnist_train_batch,
     image_to_bands,
@@ -449,3 +452,105 @@ class TestBpmnistBatches:
         b = gen_bpmnist_train_batch(pset, images, labels, 64, np.random.default_rng(13))
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.targets, b.targets)
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def chunks_joined(inputs, chunk=EVAL_CHUNK_ROWS):
+    """``inputs`` read the way ``rows_correct`` reads it, chunk by chunk."""
+    return np.concatenate([inputs[lo:lo + chunk] for lo in range(0, len(inputs), chunk)])
+
+
+def composed_encode_bpmnist(images, perm_ids, pset, indicator=True, dtype=np.float64):
+    """The band encoding composed of a float copy, one permuted copy per
+    permutation id and a concatenated indicator block."""
+    bands = image_to_bands(np.asarray(images, dtype=dtype))
+    perm_ids = np.asarray(perm_ids, dtype=np.int64)
+    blocks = np.empty_like(bands)
+    for pid in np.unique(perm_ids):
+        mask = perm_ids == pid
+        blocks[mask] = permute_bands(bands[mask], pset.perms[pid])
+    if not indicator:
+        return blocks
+    ind = indicator_block(perm_ids, NUM_PERMS, 196, dtype=dtype)
+    return np.concatenate([blocks, ind[:, None, :]], axis=1)
+
+
+class TestEncodedRows:
+    def test_slices_encode_their_rows_and_anything_else_every_row(self):
+        calls = []
+
+        def encode(values):
+            calls.append(len(values))
+            return one_hot(values, 10)[:, None, :]
+        rows = EncodedRows(encode, np.arange(1200) % 10)
+        assert (rows.shape, rows.ndim, len(rows)) == ((1200, 1, 10), 3, 1200)
+        assert rows[5:9].shape == (4, 1, 10) and calls[-1] == 4
+        assert_bitwise(chunks_joined(rows), encode(np.arange(1200) % 10))
+        assert calls[-4:-1] == [512, 512, 176]
+        assert np.array_equal(rows[:, 0].argmax(axis=1), np.arange(1200) % 10)
+        assert np.asarray(rows, dtype=np.float32).dtype == np.float32
+
+
+class TestEvalSetChunks:
+    @pytest.mark.parametrize("alternate_split", [False, True])
+    def test_doubleadd_sets_match_their_whole_encoding(self, alternate_split):
+        limited = limited_pairs(alternate_split)
+        rows = {
+            doubleadd_train_set: [(a1, b1, a2, b2, t) for a1, b1 in full_pairs()
+                                  for a2, b2 in limited for t in range(2)],
+            doubleadd_ood_set: [(a1, b1, a2, b2, 1) for a1, b1 in full_pairs()
+                                for a2, b2 in full_pairs() if (a2, b2) not in limited],
+        }
+        for make, want in rows.items():
+            batch, want = make(alternate_split), np.asarray(want, dtype=np.int64)
+            assert isinstance(batch.inputs, EncodedRows)
+            assert_bitwise(chunks_joined(batch.inputs),
+                           encode_doubleadd(want[:, 0:2], want[:, 2:4], want[:, 4]))
+            assert_bitwise(batch.targets[:, 0], np.where(
+                want[:, 4] == 0, want[:, 0:2].sum(axis=1) % 10, want[:, 2:4].sum(axis=1) % 10))
+
+    @pytest.mark.parametrize("indicator", [True, False])
+    @pytest.mark.parametrize("limit", [None, 600])
+    def test_bpmnist_eval_sets_match_their_whole_encoding(self, indicator, limit):
+        pset = build_permutation_set(np.random.default_rng(20))
+        images, labels = synthetic_mnist(1100, seed=21)
+        for role in ("validation", "test", "holdout"):
+            sets = bpmnist_eval_sets(pset, images, labels, role, indicator, limit=limit,
+                                     rng=np.random.default_rng(22))
+            for batch in sets:
+                idx, perm_ids = batch.metadata["index"], batch.metadata["perm_id"]
+                whole = composed_encode_bpmnist(images[idx], perm_ids, pset, indicator)
+                for chunk in (EVAL_CHUNK_ROWS, 50):
+                    assert_bitwise(chunks_joined(batch.inputs, chunk), whole)
+            if role != "holdout":
+                assert [b.size for b in sets] == [limit or 1100] * 4
+
+    @pytest.mark.parametrize("indicator", [True, False])
+    def test_train_eval_rows_match_a_training_batch(self, indicator):
+        # the same draws as a training batch of that size, encoded per chunk
+        pset = build_permutation_set(np.random.default_rng(23))
+        images, labels = synthetic_mnist(300, seed=24)
+        rng = np.random.default_rng(25)
+        lazy = bpmnist_rows(pset, images, labels, *draw_train_rows(pset, labels, 1200, rng),
+                            indicator)
+        eager = gen_bpmnist_train_batch(pset, images, labels, 1200, np.random.default_rng(25),
+                                        indicator)
+        assert_bitwise(chunks_joined(lazy.inputs), eager.inputs)
+        assert_bitwise(lazy.targets, eager.targets)
+        for key in ("perm_id", "index"):
+            assert_bitwise(lazy.metadata[key], eager.metadata[key])
+
+    @pytest.mark.parametrize("indicator", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_encode_bpmnist_matches_the_composed_encoding(self, indicator, dtype):
+        pset = build_permutation_set(np.random.default_rng(26))
+        images, _ = synthetic_mnist(200, seed=27)
+        perm_ids = np.random.default_rng(28).integers(0, NUM_PERMS, 200)
+        for source in (images, images.astype(np.float32)):
+            assert_bitwise(encode_bpmnist(source, perm_ids, pset, indicator, dtype),
+                           composed_encode_bpmnist(source, perm_ids, pset, indicator, dtype))
