@@ -37,7 +37,7 @@ from ..nn import (
 from ..transformer import Transformer, TransformerConfig
 from ..optim import AdamState, adam_step, clip_global_norm
 from ..checkpoint import save_checkpoint
-from ..tasks.batches import TaskBatch
+from ..tasks.batches import BLOCK_DTYPE, TaskBatch
 from ..tasks import addmul as addmul_task
 from ..tasks import doubleadd as doubleadd_task
 from ..tasks import algo as algo_task
@@ -87,7 +87,12 @@ def _build_net(cfg: ExperimentConfig, shape, rng):
 class ModelBundle:
     """The network, an optional classifier head, their optimizer, and for
     algo's ``noisy_permutation`` variant one fixed scramble of the flattened
-    input values, so that blocks no longer line up with the variables."""
+    input values, so that blocks no longer line up with the variables.
+
+    A trial computes in ``BLOCK_DTYPE`` (float32), the dtype the encoders
+    emit: the parameters are drawn from the init stream in float64 and then
+    rounded to it, so the draws do not depend on the dtype.  The optimizer
+    state and the checkpoints follow the parameters."""
 
     def __init__(self, cfg: ExperimentConfig, shape, init_rng):
         self.cfg = cfg
@@ -102,10 +107,13 @@ class ModelBundle:
             n_in, _, d = shape
             self.permutation = init_rng.permutation(n_in * d)
             # scrambled[:, j] = flat[:, perm[j]], as a product with a constant weight
-            self._scramble = Tensor(np.eye(n_in * d)[:, self.permutation].copy())
+            scramble = np.eye(n_in * d, dtype=BLOCK_DTYPE)[:, self.permutation]
+            self._scramble = Tensor(scramble.copy())
         self.params = dict(self.net.parameters())
         if self.head is not None:
             self.params.update(self.head.parameters())
+        for p in self.params.values():
+            p.data = p.data.astype(BLOCK_DTYPE)
         self.opt = AdamState(
             list(self.params.values()),
             learning_rate=cfg.optimizer.learning_rate,
@@ -115,8 +123,9 @@ class ModelBundle:
         )
 
     def forward(self, inputs, rng=None, eval_mode=False):
-        """Blocks [batch, B, d], a numpy array or (algo's recurrent unroll) a
-        graph Tensor, to (output blocks [batch, N, d], traces).
+        """Blocks [batch, B, d], a numpy array (cast to ``BLOCK_DTYPE``) or
+        (algo's recurrent unroll) a graph Tensor, to (output blocks [batch,
+        N, d], traces).
 
         An eval-mode forward runs under ``no_grad``: its output and traces
         are constants and no autodiff graph is recorded or kept alive.  The
@@ -127,7 +136,7 @@ class ModelBundle:
             n_in, n_out, d = self.shape
             batch = inputs.shape[0]
             if not isinstance(inputs, Tensor):
-                inputs = Tensor(inputs)
+                inputs = Tensor(np.asarray(inputs, dtype=BLOCK_DTYPE))
             if self.permutation is not None:
                 flat = T.affine(T.reshape(inputs, (batch, n_in * d)), self._scramble)
                 inputs = T.reshape(flat, (batch, n_in, d))
@@ -140,7 +149,7 @@ class ModelBundle:
         """Classification logits as blocks [batch, N, classes]: the output
         blocks themselves for digit tasks; for the image task one block, the
         affine head over the single output block.  The head's product stays
-        2-D: over the 3-D block it would round its last bits differently."""
+        2-D: over the 3-D block numpy makes one BLAS call per example."""
         if self.head is None:
             return out_blocks
         b = out_blocks.shape[0]
@@ -180,7 +189,9 @@ ALGO_EVAL_CHUNK_ROWS = 128
 
 def rows_correct(predict_fn, batch: TaskBatch, chunk: int = EVAL_CHUNK_ROWS) -> np.ndarray:
     """Per example of ``batch``, whether every target block was predicted
-    correctly."""
+    correctly.  Every evaluation passes through here, so it keeps freed heap
+    memory mapped (``_keep_heap_mapped``) in a process that ran no trial."""
+    _keep_heap_mapped()
     hits = []
     for lo in range(0, batch.size, chunk):
         hi = min(lo + chunk, batch.size)
@@ -227,13 +238,15 @@ def apply_smfr_bias(traces, perm_ids: np.ndarray, pset, step: int) -> Tensor:
     b, m, n_out = weights.shape
     n_bias = min(n_out, bpmnist_task.NUM_BANDS)
     if step >= 300:
-        return Tensor(np.zeros(()))
-    target = np.zeros((b, m, n_out))
+        return Tensor(np.zeros((), dtype=weights.dtype))
+    target = np.zeros((b, m, n_out), dtype=weights.dtype)
     inverses = {pid: np.argsort(pset.perms[pid]) for pid in np.unique(perm_ids)}
     for i, pid in enumerate(perm_ids):
         inv = inverses[int(pid)]
         for n in range(n_bias):
             target[i, inv[n], n] = 1.0
+    # the floor keeps log finite at a zero weight; in float32 it is still a
+    # normal number and rounds away against any weight above about 1e-5
     picked = T.sum_all(Tensor(target) * T.log(weights + 1e-12))
     return picked * (-1.0 / (b * n_bias))
 
@@ -488,11 +501,14 @@ def _algo_unroll(bundle: ModelBundle, inputs: np.ndarray, rng=None, eval_mode=Fa
     """Run the model recurrently over encoded episodes [batch, 5 + T, d]:
     each iteration sees the state and that iteration's rule block, and its
     raw output blocks feed back as the next state.  Returns (the output
-    blocks of every iteration, traces).  A training unroll returns every
-    iteration's traces in order, which the penalty and the window read; an
-    eval-mode unroll returns none and keeps only its state and outputs, since
-    an iteration's attention traces outweigh its output."""
+    blocks of every iteration, traces).  The episodes are cast to
+    ``BLOCK_DTYPE`` once: a float64 rule block concatenated onto a float32
+    state would upcast every product after it.  A training unroll returns
+    every iteration's traces in order, which the penalty and the window
+    read; an eval-mode unroll returns none and keeps only its state and
+    outputs, since an iteration's attention traces outweigh its output."""
     n_vars = algo_task.NUM_VARS
+    inputs = np.asarray(inputs, dtype=BLOCK_DTYPE)
     state = Tensor(inputs[:, :n_vars])
     outputs, traces = [], []
     for t in range(inputs.shape[1] - n_vars):
@@ -741,11 +757,11 @@ def run_trial(cfg: ExperimentConfig, mnist=None) -> dict:
     """Run one seeded trial end to end, writing results/<exp>/<hash>/<seed>.jsonl.
 
     The header and the final record carry the ``code_fingerprint`` of the
-    sources that ran; the header also records the numpy version and the BLAS
-    thread settings.  A trial whose loss turns non-finite stops there and
-    ends in a final record with ``completed`` false, reason
-    ``non_finite_loss`` and the ``steps`` that ran before it, and writes no
-    final checkpoint.  A trial that raises or is interrupted leaves only its
+    sources that ran; the header also records the trial's dtype, the numpy
+    version and the BLAS thread settings.  A trial whose loss turns
+    non-finite stops there and ends in a final record with ``completed``
+    false, reason ``non_finite_loss`` and the ``steps`` that ran before it,
+    and writes no final checkpoint.  A trial that raises or is interrupted leaves only its
     ``.part`` file, ending in an ``aborted`` record.  Returns the final
     summary record (also the last line of the file).  It keeps freed heap
     memory mapped for the rest of the process (``_keep_heap_mapped``)."""
@@ -759,7 +775,8 @@ def run_trial(cfg: ExperimentConfig, mnist=None) -> dict:
         rngs, pset, bundle = replay_init(cfg)
         fingerprint = code_fingerprint()
         header = {"record": "header", "config": cfg.to_dict(), "config_hash": h,
-                  "code_fingerprint": fingerprint, "numpy_version": np.__version__,
+                  "code_fingerprint": fingerprint, "dtype": np.dtype(BLOCK_DTYPE).name,
+                  "numpy_version": np.__version__,
                   "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
                   "parameter_count": bundle.num_parameters()}
         writer.write(header)

@@ -52,9 +52,10 @@ def extract_routing_trace(model, inputs: np.ndarray) -> RoutingTrace:
     Models whose forward returns no routing traces (the plain feedforward
     baseline) are rejected.  No autodiff graph is recorded, whatever the
     model: a bare ``Smfr`` or ``Transformer`` is run under ``no_grad`` too.
+    The inputs keep their dtype, so encoded task blocks run in the trial's.
     """
     with no_grad():
-        _, traces = model.forward(Tensor(np.asarray(inputs, dtype=np.float64)), eval_mode=True)
+        _, traces = model.forward(Tensor(np.asarray(inputs)), eval_mode=True)
     if not traces:
         raise ValueError(f"{type(model).__name__} has no routing decisions to inspect")
     if isinstance(traces[0], LayerTrace):

@@ -203,11 +203,8 @@ class Fnnr:
         if self.context_blocks:
             if context is None:
                 raise ValueError("fnnr was built with context blocks but none were given")
-            flat = T.concat(
-                [T.reshape(routed, (batch, n * d)),
-                 T.reshape(context, (batch, self.context_blocks * d))],
-                axis=1,
-            )
+            flat = T.reshape(T.concat([routed, context], axis=1),
+                             (batch, (n + self.context_blocks) * d))
         else:
             flat = T.reshape(routed, (batch, n * d))
         trunk = self.fnn.forward(flat)

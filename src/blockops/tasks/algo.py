@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batches import TaskBatch, one_hot, indicator_block
+from .batches import BLOCK_DTYPE, TaskBatch, one_hot, indicator_block
 
 __all__ = [
     "NUM_VARS",
@@ -55,7 +55,8 @@ def encode_algo_episode(initial, rule_ids) -> np.ndarray:
     """Blocks [batch, 5 + T, 10] from initial states [batch, 5] and rule ids
     [batch, T]: the five digit blocks, then one rule indicator per iteration."""
     rule_ids = np.asarray(rule_ids)
-    inputs = np.empty((len(rule_ids), NUM_VARS + rule_ids.shape[1], BLOCK_SIZE))
+    inputs = np.empty((len(rule_ids), NUM_VARS + rule_ids.shape[1], BLOCK_SIZE),
+                      dtype=BLOCK_DTYPE)
     inputs[:, :NUM_VARS] = one_hot(initial, BLOCK_SIZE)
     inputs[:, NUM_VARS:] = indicator_block(rule_ids, NUM_RULES, BLOCK_SIZE)
     return inputs

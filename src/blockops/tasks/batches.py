@@ -6,7 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TaskBatch", "EncodedRows", "one_hot", "indicator_block"]
+__all__ = ["BLOCK_DTYPE", "TaskBatch", "EncodedRows", "one_hot", "indicator_block"]
+
+# the dtype of every encoded block, and so of every trial: the parameters,
+# the optimizer state and the checkpoints follow it
+BLOCK_DTYPE = np.float32
 
 
 class EncodedRows:
@@ -69,12 +73,12 @@ def _identity_rows(values, num_valid: int, size: int, dtype) -> np.ndarray:
     return np.eye(size, dtype=dtype).take(values.astype(np.int64, copy=False), axis=0)
 
 
-def one_hot(values, num_classes: int, dtype=np.float64) -> np.ndarray:
+def one_hot(values, num_classes: int, dtype=BLOCK_DTYPE) -> np.ndarray:
     """One-hot encode an integer array along a trailing new axis."""
     return _identity_rows(values, num_classes, num_classes, dtype)
 
 
-def indicator_block(ids, num_ids: int, block_size: int, dtype=np.float64) -> np.ndarray:
+def indicator_block(ids, num_ids: int, block_size: int, dtype=BLOCK_DTYPE) -> np.ndarray:
     """One-hot over ``num_ids`` zero-padded (never truncated) to block size."""
     if num_ids > block_size:
         raise ValueError(f"cannot fit {num_ids} indicator states in a block of {block_size}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batches import EncodedRows, TaskBatch, indicator_block
+from .batches import BLOCK_DTYPE, EncodedRows, TaskBatch, indicator_block
 
 __all__ = [
     "NUM_BANDS",
@@ -111,7 +111,7 @@ def permute_bands(bands: np.ndarray, perm) -> np.ndarray:
 
 
 def encode_bpmnist(images: np.ndarray, perm_ids: np.ndarray, pset: PermutationSet,
-                   indicator: bool = True, dtype=np.float64) -> np.ndarray:
+                   indicator: bool = True, dtype=BLOCK_DTYPE) -> np.ndarray:
     """Blocks [N, 5, 196] (4 permuted bands + indicator), or [N, 4, 196],
     written into one array."""
     bands = image_to_bands(np.asarray(images))

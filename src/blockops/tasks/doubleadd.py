@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .batches import EncodedRows, TaskBatch, one_hot, indicator_block
+from .batches import BLOCK_DTYPE, EncodedRows, TaskBatch, one_hot, indicator_block
 from .addmul import full_pairs, limited_pairs
 
 __all__ = [
@@ -31,7 +31,7 @@ _LIMITED_PAIRS = {split: np.asarray(limited_pairs(split), dtype=np.int64)
 def encode_doubleadd(p1, p2, task_ids) -> np.ndarray:
     """Blocks [batch, 5, 10] from digit pairs ``p1`` and ``p2`` ([batch, 2])
     and task ids: the four digits, then the task indicator."""
-    inputs = np.empty((len(task_ids), 5, BLOCK_SIZE))
+    inputs = np.empty((len(task_ids), 5, BLOCK_SIZE), dtype=BLOCK_DTYPE)
     inputs[:, 0:2] = one_hot(p1, BLOCK_SIZE)
     inputs[:, 2:4] = one_hot(p2, BLOCK_SIZE)
     inputs[:, 4] = indicator_block(task_ids, NUM_TASKS, BLOCK_SIZE)

@@ -8,8 +8,12 @@ Inside ``with no_grad():`` operations record nothing: their results are plain
 constant tensors, so an evaluation forward keeps no graph alive.
 
 The engine is deliberately small: dense arrays, static shapes apart from the
-batch dimension, CPU only.  Double precision is the default so that gradient
-checks against central finite differences are meaningful.
+batch dimension, CPU only.  It is dtype-generic: every op computes in its
+operands' dtype, and a number it lifts to a constant takes the other
+operand's.  Trials run in float32 (the harness casts its parameters and the
+encoders emit float32 blocks); the gradient checks against central finite
+differences run in float64, where they are meaningful, and ``tensor()``
+defaults to it.
 """
 
 from __future__ import annotations
@@ -70,7 +74,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
-        self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
+        # a numpy scalar (an op on 0-d arrays returns one) keeps its dtype;
+        # Python numbers and lists become float64
+        self.data = (data if isinstance(data, np.ndarray)
+                     else np.asarray(data, dtype=getattr(data, "dtype", np.float64)))
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -488,8 +495,10 @@ def gumbel_softmax_st(logits: Tensor, axis: int, temperature: float, rng: np.ran
     if not -logits.data.ndim <= axis < logits.data.ndim:
         raise ValueError(f"gumbel axis {axis} invalid for shape {logits.data.shape}")
     eps = 1e-20
+    # drawn in float64 whatever the logits' dtype, so the routing stream does
+    # not depend on it, and cast, so the noise does not upcast the logits
     u = rng.random(size=logits.data.shape)
-    noise = -np.log(-np.log(u + eps) + eps)
+    noise = (-np.log(-np.log(u + eps) + eps)).astype(logits.data.dtype, copy=False)
     perturbed = (logits.data + noise) / temperature
     soft = _softmax_data(perturbed, axis)
     hard = np.zeros_like(soft)

@@ -21,7 +21,7 @@ from blockops.tasks.algo import (
     rule_slots,
 )
 from blockops.harness.training import EVAL_CHUNK_ROWS
-from blockops.tasks.batches import EncodedRows, TaskBatch, indicator_block, one_hot
+from blockops.tasks.batches import BLOCK_DTYPE, EncodedRows, TaskBatch, indicator_block, one_hot
 from blockops.tasks.bpmnist import (
     NUM_PERMS,
     balance_matrix,
@@ -396,7 +396,8 @@ class TestBpmnistEncoding:
         pset.perms[0] = np.arange(4)
         images, _ = synthetic_mnist(3)
         blocks = encode_bpmnist(images, np.zeros(3, dtype=np.int64), pset, indicator=False)
-        assert np.array_equal(blocks.reshape(3, -1), images.reshape(3, -1))
+        assert blocks.dtype == BLOCK_DTYPE
+        assert np.array_equal(blocks.reshape(3, -1), images.reshape(3, -1).astype(BLOCK_DTYPE))
 
     def test_indicator_block_is_appended(self):
         pset = build_permutation_set(np.random.default_rng(5))
@@ -465,7 +466,7 @@ def chunks_joined(inputs, chunk=EVAL_CHUNK_ROWS):
     return np.concatenate([inputs[lo:lo + chunk] for lo in range(0, len(inputs), chunk)])
 
 
-def composed_encode_bpmnist(images, perm_ids, pset, indicator=True, dtype=np.float64):
+def composed_encode_bpmnist(images, perm_ids, pset, indicator=True, dtype=BLOCK_DTYPE):
     """The band encoding composed of a float copy, one permuted copy per
     permutation id and a concatenated indicator block."""
     bands = image_to_bands(np.asarray(images, dtype=dtype))
@@ -478,6 +479,23 @@ def composed_encode_bpmnist(images, perm_ids, pset, indicator=True, dtype=np.flo
         return blocks
     ind = indicator_block(perm_ids, NUM_PERMS, 196, dtype=dtype)
     return np.concatenate([blocks, ind[:, None, :]], axis=1)
+
+
+def test_every_encoder_emits_the_block_dtype():
+    # one dtype from the encoders on, so no trial input upcasts the products
+    pset = build_permutation_set(np.random.default_rng(29))
+    images, labels = synthetic_mnist(8, seed=30)
+    rng = np.random.default_rng(31)
+    blocks = {
+        "addmul": gen_addmul_batch("preparation", 4, rng).inputs,
+        "doubleadd": gen_doubleadd_batch(4, rng).inputs,
+        "doubleadd eval": doubleadd_train_set().inputs[:4],
+        "algo": gen_algo_episode(4, 3, rng).batch().inputs,
+        "bpmnist": gen_bpmnist_train_batch(pset, images, labels, 4, rng).inputs,
+        "bpmnist eval": bpmnist_eval_sets(pset, images, labels, "test")[0].inputs[:4],
+    }
+    assert {name: b.dtype for name, b in blocks.items()} == dict.fromkeys(blocks, BLOCK_DTYPE)
+    assert BLOCK_DTYPE == np.float32
 
 
 class TestEncodedRows:

@@ -41,6 +41,15 @@ class TestElementwiseOps:
         assert x.grad[0] == pytest.approx(20.0)
 
 
+def test_ops_on_0d_float32_keep_float32():
+    # numpy returns a scalar, not a 0-d array, for an op on 0-d arrays; the
+    # tensor keeps its dtype, so a float32 loss sum stays float32
+    a = T.tensor(2.0, dtype=np.float32)
+    for out in (a * 3.0, a + a, -a, T.mul(a, a)):
+        assert out.dtype == np.float32 and out.shape == ()
+    assert T.Tensor(1.5).dtype == np.float64
+
+
 class TestMatmul:
     # the reference product that the fused nodes' bitwise tests compare with
     def test_identity_returns_input(self):
@@ -246,6 +255,19 @@ class TestGumbelStraightThrough:
         T.sum_all(T.mul(soft, T.tensor(c))).backward(params=[q])
 
         assert np.allclose(p.grad, q.grad, atol=1e-12)
+
+    def test_float32_logits_keep_their_dtype_and_the_noise_stream(self):
+        # the noise is drawn in float64 either way, so a float32 trial routes
+        # with the same draws, and cast, so it does not upcast the logits
+        logits = np.random.default_rng(11).normal(size=(5, 4))
+        rngs = [np.random.default_rng(12), np.random.default_rng(12)]
+        p = T.parameter(logits.astype(np.float32))
+        out = T.gumbel_softmax_st(p, axis=1, temperature=0.7, rng=rngs[0])
+        T.gumbel_softmax_st(T.tensor(logits), axis=1, temperature=0.7, rng=rngs[1])
+        assert out.dtype == np.float32
+        assert rngs[0].random() == rngs[1].random()
+        T.sum_all(out).backward(params=[p])
+        assert p.grad.dtype == np.float32
 
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
