@@ -15,7 +15,7 @@ from blockops import cli
 from blockops import tensor as T
 from blockops.tensor import Tensor
 from blockops.nn import LayerTrace
-from blockops.checkpoint import load_checkpoint, restore_parameters
+from blockops.checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from blockops.harness.config import (
     ExperimentConfig, ConfigError, config_hash, parse_override,
     apply_overrides, valid_override_keys, json_object,
@@ -912,6 +912,20 @@ class TestTrialDtype:
         assert read_records(path)[0]["dtype"] == "float32"
         tensors, _ = load_checkpoint(checkpoint)
         assert {a.dtype.name for a in tensors.values()} == {"float32"}
+
+    def test_a_float64_checkpoint_loads_by_rounding(self, tmp_path):
+        # as written before trials moved to float32
+        cfg = ExperimentConfig.from_dict(tiny_config(tmp_path))
+        params = {name: Tensor(p.data.astype(np.float64) + 1e-9)
+                  for name, p in build_model(cfg, np.random.default_rng(0)).params.items()}
+        path = str(tmp_path / "old.ckpt")
+        save_checkpoint(path, params, {"config": cfg.to_dict()})
+        tensors, _ = load_checkpoint(path)
+        bundle = build_model(cfg, np.random.default_rng(1))
+        restore_parameters(bundle.params, tensors)
+        for name, p in bundle.params.items():
+            assert p.dtype == np.float32
+            assert np.array_equal(p.data, tensors[name].astype(np.float32))
 
     @pytest.mark.parametrize("step", [0, 300])
     def test_the_routing_bias_keeps_the_weights_dtype(self, step):
