@@ -348,12 +348,14 @@ class _Window:
                 "longest_run_beyond_band": self.longest_run}
 
 
-def _train_step(bundle: ModelBundle, window: _Window, batch_loss, step: int, params):
+def _train_step(bundle: ModelBundle, window: _Window, batch_loss, step: int):
     """Run training step ``step``; returns (its loss, its penalty) as floats.
 
-    The step's graph (the loss, the traces, the penalty and ``extra``) lives
-    only in this call, so it is freed before the next step's ``batch_loss``
-    builds its own and before any evaluation runs."""
+    Backward adds into the optimizer's flat gradient buffer, zeroed once
+    per step, and the clip and Adam run on it.  The step's graph (the loss,
+    the traces, the penalty and ``extra``) lives only in this call, so it is
+    freed before the next step's ``batch_loss`` builds its own and before
+    any evaluation runs."""
     cfg = bundle.cfg
     loss, traces, extra = batch_loss(step)
     routing = [tr for tr in traces if isinstance(tr, LayerTrace)]
@@ -365,8 +367,9 @@ def _train_step(bundle: ModelBundle, window: _Window, batch_loss, step: int, par
         total = total + extra
     if not np.isfinite(total.data):
         raise NonFiniteLoss(step)
-    total.backward(params=params)
-    clip_scale = clip_global_norm(params, cfg.clip_norm)
+    bundle.opt.grad.fill(0.0)
+    total.backward()
+    clip_scale = clip_global_norm(bundle.opt, cfg.clip_norm)
     adam_step(bundle.opt)
     window.update(routing, clip_scale)
     return float(loss.data), reg_value
@@ -389,10 +392,9 @@ def _train(bundle: ModelBundle, writer: MetricsWriter, window: _Window, batch_lo
     penalty, and the window's fields.  Training stops after a record whose
     fields satisfy ``stop``."""
     cfg = bundle.cfg
-    params = list(bundle.params.values())
     step = start
     while step < steps:
-        loss, reg_value = _train_step(bundle, window, batch_loss, step, params)
+        loss, reg_value = _train_step(bundle, window, batch_loss, step)
         step += 1
         if step % cfg.eval_every == 0 or (eval_last and step == steps):
             eval_start = time.perf_counter()

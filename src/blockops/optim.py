@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["AdamState", "adam_step", "clip_global_norm", "global_grad_norm"]
@@ -10,14 +12,16 @@ __all__ = ["AdamState", "adam_step", "clip_global_norm", "global_grad_norm"]
 class AdamState:
     """First and second moments plus shared hyperparameters.
 
-    The parameters live in one flat array: construction copies each
-    parameter's values into it and rebinds the parameter's ``data`` to its
-    view of it, so one update covers every parameter.  Code that changes a
-    parameter afterwards writes into ``data`` in place (``p.data[...] =``);
-    rebinding ``data`` would cut the parameter off from its updates.  The
-    moments, a gradient buffer and two scratch buffers are flat arrays of
-    the same size.  Bias correction follows the standard formulation;
-    ``step_count`` increases by exactly one per :func:`adam_step`.
+    The parameters live in one flat array and their gradients in another,
+    ``grad``: construction copies each parameter's values and gradient (zero
+    if it holds none) into them and rebinds its ``data`` and ``grad`` to its
+    views, so backward adds into the buffer until it is zeroed and one
+    update covers every parameter.  Code that changes a parameter or its
+    gradient afterwards writes in place (``p.data[...] =``); rebinding either
+    would cut it off from the optimizer.  The moments and two scratch
+    buffers are flat arrays of the same size.  Bias correction follows the
+    standard formulation; ``step_count`` increases by exactly one per
+    :func:`adam_step`.
     """
 
     def __init__(self, params, learning_rate=3e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -32,36 +36,33 @@ class AdamState:
             raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
         offsets = np.cumsum([0] + [p.data.size for p in self.params])
         self.flat = np.empty(offsets[-1], dtypes.pop() if dtypes else np.float64)
-        self._grads = np.empty_like(self.flat)
+        self.grad = np.zeros_like(self.flat)
         self.first_moment = np.zeros_like(self.flat)
         self.second_moment = np.zeros_like(self.flat)
         self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
-        self._grad_views = []
         for p, lo, hi in zip(self.params, offsets[:-1], offsets[1:]):
             view = self.flat[lo:hi].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
-            self._grad_views.append(self._grads[lo:hi].reshape(view.shape))
+            grad = self.grad[lo:hi].reshape(view.shape)
+            if p.grad is not None:
+                grad[...] = p.grad
+            p.grad = grad
 
 
 def adam_step(state: AdamState) -> None:
-    """One Adam update over the tracked parameters; grads are consumed.
+    """One Adam update of every tracked parameter from ``state.grad``.
 
-    Parameters whose grad is unset are treated as having zero gradient.  The
-    update runs over the flat buffers, operation for operation in the order
-    of the per-parameter formula ``m = b1 m + (1 - b1) g``, ``v = b2 v +
-    (1 - b2) g^2``, ``p -= lr m_hat / (sqrt(v_hat) + eps)``.
+    The update runs over the flat buffers, operation for operation in the
+    order of the per-parameter formula ``m = b1 m + (1 - b1) g``, ``v = b2 v
+    + (1 - b2) g^2``, ``p -= lr m_hat / (sqrt(v_hat) + eps)``.  The
+    gradients are left as they are; the caller zeroes ``state.grad`` before
+    the next backward pass.
     """
-    for p, view in zip(state.params, state._grad_views):
-        if p.grad is None:
-            view[...] = 0.0
-        else:
-            np.copyto(view, p.grad)
-        p.grad = None
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    g, m, v = state._grads, state.first_moment, state.second_moment
+    g, m, v = state.grad, state.first_moment, state.second_moment
     step, denom = state._scratch
     m *= b1
     np.multiply(g, 1.0 - b1, out=step)
@@ -79,27 +80,22 @@ def adam_step(state: AdamState) -> None:
     state.flat -= step
 
 
-def global_grad_norm(params) -> float:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    return float(np.sqrt(total))
+def global_grad_norm(state: AdamState) -> float:
+    """The L2 norm of every tracked gradient together, as a Python float."""
+    return math.sqrt(float(np.dot(state.grad, state.grad)))
 
 
-def clip_global_norm(params, max_norm: float = 0.1) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+def clip_global_norm(state: AdamState, max_norm: float = 0.1) -> float:
+    """Scale ``state.grad`` in place so its L2 norm is at most ``max_norm``.
 
-    Returns the applied scale factor (1.0 when no clipping was needed).
+    Returns the applied scale factor (1.0 when no clipping was needed) as a
+    Python float, so the scaled gradients keep their dtype.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    params = list(params)
-    norm = global_grad_norm(params)
-    if norm <= max_norm or norm == 0.0:
+    norm = global_grad_norm(state)
+    if norm <= max_norm:
         return 1.0
     scale = max_norm / norm
-    for p in params:
-        if p.grad is not None:
-            p.grad *= scale
+    state.grad *= scale
     return scale

@@ -106,9 +106,8 @@ class Tensor:
         Gradients accumulate into ``grad`` of every leaf on the path that
         requires them.  An intermediate node's ``grad`` is dropped as soon as
         its own backward has run, so after the pass only leaves hold one.
-        ``params``, when given, is an iterable of leaf tensors that get an
-        explicit zero gradient if the graph never reached them, so optimizers
-        can treat the whole parameter set uniformly.
+        ``params``, when given, are leaves that get a zero gradient if the
+        graph never reached them and they hold none.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss tensor")
@@ -202,9 +201,10 @@ def _accumulate(t: Tensor, g: np.ndarray):
     out of place; a node never writes into a buffer it was handed.  Adoption
     needs ``g`` to have the node's shape and dtype and both arrays to be
     C-contiguous: a strided gradient would send later BLAS calls down
-    another path and change the bits.  A leaf owns its buffer, since clip
-    scales it in place: its first gradient is copied, later ones are added
-    in place.  Every buffer has the memory layout of ``t.data``.
+    another path and change the bits.  A leaf adds in place into the buffer
+    it owns: its view of the optimizer's gradient buffer (``AdamState``), or
+    else a copy of its first gradient.  Every buffer has the memory layout
+    of ``t.data``.
     """
     if not t.requires_grad:
         return

@@ -129,3 +129,28 @@ def test_timing_and_identity_fields_are_left_out(bitcheck, pair):
     edit_records(find(pair[1], ".jsonl"), edit)
     assert changed == bitcheck.IGNORED
     assert bitcheck.compare(*pair) == 0
+
+
+def test_drift_of_identical_runs_marks_nothing(bitcheck, pair, capsys):
+    assert bitcheck.main(["drift", *pair]) == 0
+    out = capsys.readouterr().out
+    assert "MOVED" not in out
+    assert " loss " in out and " accuracy_iter_9 " in out
+    assert out.splitlines()[-1].startswith("0 of ")
+
+
+def test_drift_names_a_changed_loss(bitcheck, pair, capsys):
+    def edit(record):
+        if record["record"] == "metrics":
+            record["loss"] = np.nextafter(record["loss"], np.inf)
+    edit_records(find(pair[1], ".jsonl"), edit)
+    assert bitcheck.drift(*pair) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in lines if line.endswith("MOVED")] == ["loss"]
+    assert lines[-1].startswith("1 of ")
+
+
+def test_drift_fails_on_a_missing_trial(bitcheck, pair, capsys):
+    shutil.rmtree(os.path.join(pair[1], "trials", "tiny-algo"))
+    assert bitcheck.drift(*pair) == 1
+    assert f"tiny-algo seed 0: only in {pair[0]}" in capsys.readouterr().out

@@ -1052,20 +1052,25 @@ class TestTrainingGraph:
     def transformer_training_loss(self, tmp_path, monkeypatch):
         """The loss of one training step of the benchmark's algo Transformer,
         and the trial's parameters."""
-        steps = []
-        backward = Tensor.backward
+        losses, states = [], []
+        backward, adam = Tensor.backward, training.adam_step
 
         def spy(loss, params=None):
-            steps.append((loss, list(params)))
+            losses.append(loss)
             return backward(loss, params)
 
+        def spy_adam(state):
+            states.append(state)
+            return adam(state)
+
         monkeypatch.setattr(Tensor, "backward", spy)
+        monkeypatch.setattr(training, "adam_step", spy_adam)
         monkeypatch.setattr(training, "evaluate_accuracy", lambda *args: 0.0)
         data = tiny_config(tmp_path, experiment="algo", batch_size=64, max_steps=1,
                            eval_every=1, model=EVAL_MODELS["transformer"])
         run_trial(ExperimentConfig.from_dict(data))
-        (step,) = steps
-        return step
+        (loss,), (state,) = losses, states
+        return loss, state.params
 
     def test_transformer_training_loss_node_count(self, tmp_path, monkeypatch):
         # the benchmark's algo Transformer: each projection is one affine
@@ -1190,8 +1195,8 @@ class TestClipRecord:
         scales = []
         clip = training.clip_global_norm
 
-        def spy(params, max_norm):
-            scales.append(clip(params, max_norm))
+        def spy(state, max_norm):
+            scales.append(clip(state, max_norm))
             return scales[-1]
         monkeypatch.setattr(training, "clip_global_norm", spy)
         cfg = ExperimentConfig.from_dict(tiny_config(tmp_path, max_steps=6, eval_every=3,
@@ -1209,6 +1214,54 @@ class TestClipRecord:
         (record,) = metrics_records(cfg)
         assert record["window_clipped_steps"] == 0
         assert record["window_min_clip_scale"] == 1.0
+
+
+class TestFlatGradients:
+    def test_backward_adds_into_the_optimizer_buffer(self, tmp_path, monkeypatch):
+        # a 2-step trial of the benchmark's doubleadd SMFR: each backward
+        # starts from a zeroed buffer, and at each Adam step every
+        # parameter's grad is still its view of that buffer, so backward
+        # allocated no gradient array of its own
+        bundles, zeroed, seen = [], [], []
+        replay, backward, adam = training.replay_init, Tensor.backward, training.adam_step
+
+        def spy_replay(cfg):
+            rngs, pset, bundle = replay(cfg)
+            bundles.append(bundle)
+            return rngs, pset, bundle
+
+        def spy_backward(loss, params=None):
+            zeroed.append(not bundles[0].opt.grad.any())
+            return backward(loss, params)
+
+        def spy_adam(state):
+            seen.append((all(p.grad.base is state.grad for p in state.params),
+                         np.array_equal(np.concatenate([p.grad.ravel() for p in state.params]),
+                                        state.grad),
+                         state.grad.any()))
+            return adam(state)
+        monkeypatch.setattr(training, "replay_init", spy_replay)
+        monkeypatch.setattr(Tensor, "backward", spy_backward)
+        monkeypatch.setattr(training, "adam_step", spy_adam)
+        model = {"kind": "smfr", "stack_width": 8, "stack_depth": 1,
+                 "fnn_hidden": [100], "attention": "softmax"}
+        run_trial(ExperimentConfig.from_dict(tiny_config(tmp_path, model=model,
+                                                         max_steps=2, eval_every=2)))
+        assert len(bundles[0].params) == 16
+        assert zeroed == [True, True]
+        assert seen == [(True, True, True)] * 2
+
+    def test_a_step_zeroes_stale_gradients_and_an_unreached_parameter_reads_zero(
+            self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict(tiny_config(tmp_path, clip_norm=1e9))
+        _, _, bundle = training.replay_init(cfg)
+        reached, *unreached = bundle.params.values()
+        bundle.opt.grad.fill(1.0)
+        monkeypatch.setattr(training, "adam_step", lambda state: None)
+        training._train_step(bundle, training._Window(0.0),
+                             lambda step: (T.sum_all(T.mul(reached, reached)), [], None), 0)
+        assert np.array_equal(reached.grad, 2 * reached.data)
+        assert unreached and not any(p.grad.any() for p in unreached)
 
 
 class TestNonFiniteLoss:

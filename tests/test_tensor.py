@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import composed
 from blockops import tensor as T
-from blockops.optim import clip_global_norm
+from blockops.optim import AdamState, clip_global_norm
 from fdcheck import finite_difference, grad_check, relative_error
 
 
@@ -444,18 +444,24 @@ class TestBackwardPass:
 class TestGradientOwnership:
     def test_leaf_used_twice_owns_one_buffer(self):
         x = T.parameter([3.0])
-        T.sum_all(T.add(x, x)).backward(params=[x])
+        T.sum_all(T.add(x, x)).backward()
         assert x.grad[0] == 2.0
-        # a norm of 2 clipped to 0.1 scales the one buffer once
-        clip_global_norm([x], max_norm=0.1)
-        assert x.grad[0] == pytest.approx(0.1)
+        # with an optimizer, both gradients add into the leaf's view of its
+        # buffer, and a norm of 2 clipped to 0.1 scales that buffer once
+        y = T.parameter([3.0])
+        state = AdamState([y])
+        T.sum_all(T.add(y, y)).backward()
+        assert y.grad[0] == 2.0 and np.shares_memory(y.grad, state.grad)
+        clip_global_norm(state, max_norm=0.1)
+        assert y.grad[0] == pytest.approx(0.1)
 
     def test_leaves_given_one_gradient_get_separate_buffers(self):
         a = T.parameter([1.0])
         b = T.parameter([1.0])
         T.sum_all(T.add(a, b)).backward(params=[a, b])
         assert a.grad is not b.grad
-        clip_global_norm([a, b], max_norm=0.1)
+        # the optimizer takes the gradients in, and its clip scales both
+        clip_global_norm(AdamState([a, b]), max_norm=0.1)
         assert a.grad[0] == pytest.approx(0.1 / np.sqrt(2.0))
         assert b.grad[0] == pytest.approx(0.1 / np.sqrt(2.0))
 
@@ -915,11 +921,12 @@ class TestOneAllocationOps:
         w = T.parameter(rng.normal(size=(4, 3)))
         b = T.parameter(rng.normal(size=3))
         other = T.parameter(rng.normal(size=(5, 4)))
+        state = AdamState([w, b, other])
         x1, x2 = T.mul(other, T.tensor(1.5)), T.tensor(rng.normal(size=(2, 5, 4)))
         y1, y2 = T.affine(x1, w, b), T.affine(x2, w, b)
         c1, c2 = T.tensor(rng.normal(size=y1.shape)), T.tensor(rng.normal(size=y2.shape))
         loss = T.add(T.sum_all(T.mul(y1, c1)), T.sum_all(T.mul(y2, c2)))
-        loss.backward(params=[w, b, other])
+        loss.backward()
         g1, g2 = c1.data, c2.data
         want_w = x1.data.T @ g1 + x2.data.reshape(-1, 4).T @ g2.reshape(-1, 3)
         want_b = g1.sum(axis=0) + g2.sum(axis=(0, 1))
@@ -929,7 +936,7 @@ class TestOneAllocationOps:
         assert np.array_equal(_bits(other.grad), _bits(want_other))
         graph = [t.data for t in (w, b, other, x1, x2, y1, y2, c1, c2, loss)]
         before = [a.copy() for a in graph]
-        scale = clip_global_norm([w, b, other], max_norm=1e-3)
+        scale = clip_global_norm(state, max_norm=1e-3)
         assert scale < 1.0
         assert np.array_equal(_bits(w.grad), _bits(want_w * scale))
         assert np.array_equal(_bits(b.grad), _bits(want_b * scale))

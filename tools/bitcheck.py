@@ -4,6 +4,7 @@
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=OLD/src python tools/bitcheck.py run OUT_OLD
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=NEW/src python tools/bitcheck.py run OUT_NEW
     PYTHONPATH=src python tools/bitcheck.py compare OUT_OLD OUT_NEW
+    PYTHONPATH=src python tools/bitcheck.py drift OUT_OLD OUT_NEW
 
 ``run`` trains a fixed list of fixed-seed trials (``CASES`` at ``SEEDS``)
 with whatever ``blockops`` is importable.  Each trial writes its records,
@@ -20,6 +21,12 @@ identity fields of ``IGNORED`` left out, every checkpoint member and eval
 array bitwise, and every other file byte for byte.  It names each
 difference and exits 1 if there is any or a file is missing on either side,
 0 otherwise.
+
+``drift`` says how far the results moved when the bits did.  For each case
+and seed it prints the last metrics record's loss and the final record's
+accuracies (nested ones by dotted name) on both sides, marks each value
+that differs with ``MOVED``, and counts them.  It exits 1 if a trial is
+missing on either side, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -238,18 +245,68 @@ def compare(dir_a: str, dir_b: str) -> int:
     return 1 if problems else 0
 
 
+def _final_values(path: str) -> dict:
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    losses = [r["loss"] for r in records if "loss" in r]
+    values = {"loss": losses[-1]} if losses else {}
+
+    def walk(fields, prefix):
+        for key, value in fields.items():
+            if isinstance(value, dict):
+                walk(value, f"{prefix}{key}.")
+            elif "accuracy" in key:
+                values[prefix + key] = value
+    walk(records[-1], "")
+    return values
+
+
+def _trials(root: str) -> dict:
+    """Record files under ``root/trials/<case>``, by (case, seed)."""
+    trials = os.path.join(root, "trials")
+    return {(path.split(os.sep)[0], int(os.path.splitext(os.path.basename(path))[0])):
+            os.path.join(trials, path)
+            for path in _files(trials) if path.endswith(".jsonl")}
+
+
+def drift(dir_a: str, dir_b: str) -> int:
+    trials_a, trials_b = _trials(dir_a), _trials(dir_b)
+    both, missing, moved, total = trials_a.keys() & trials_b.keys(), 0, 0, 0
+    for case, seed in sorted(trials_a.keys() | trials_b.keys()):
+        if (case, seed) not in both:
+            side = dir_a if (case, seed) in trials_a else dir_b
+            print(f"{case} seed {seed}: only in {side}")
+            missing += 1
+            continue
+        a, b = _final_values(trials_a[case, seed]), _final_values(trials_b[case, seed])
+        for field in {**a, **b}:
+            va, vb = a.get(field, "<absent>"), b.get(field, "<absent>")
+            # NaN compares unequal to itself; its JSON text does not
+            changed = json.dumps(va) != json.dumps(vb)
+            moved += changed
+            total += 1
+            va, vb = (f"{v:.9g}" if isinstance(v, float) else str(v) for v in (va, vb))
+            print(f"{case:<30} {seed:>2}  {field:<28} {va:>12} {vb:>12}"
+                  f"{'  MOVED' if changed else ''}")
+    print(f"{moved} of {total} values moved")
+    return 1 if missing else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bitcheck", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("run", help="train the fixed trials into an empty directory")
     p.add_argument("out_dir")
-    p = sub.add_parser("compare", help="diff two run directories")
-    p.add_argument("dir_a")
-    p.add_argument("dir_b")
+    for name, help_text in (("compare", "diff two run directories"),
+                            ("drift", "print each trial's final loss and accuracies "
+                                      "on both sides")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("dir_a")
+        p.add_argument("dir_b")
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.out_dir)
-    return compare(args.dir_a, args.dir_b)
+    return (compare if args.command == "compare" else drift)(args.dir_a, args.dir_b)
 
 
 if __name__ == "__main__":
