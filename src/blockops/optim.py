@@ -13,15 +13,14 @@ class AdamState:
     """First and second moments plus shared hyperparameters.
 
     The parameters live in one flat array and their gradients in another,
-    ``grad``: construction copies each parameter's values and gradient (zero
-    if it holds none) into them and rebinds its ``data`` and ``grad`` to its
-    views, so backward adds into the buffer until it is zeroed and one
-    update covers every parameter.  Code that changes a parameter or its
-    gradient afterwards writes in place (``p.data[...] =``); rebinding either
-    would cut it off from the optimizer.  The moments and two scratch
-    buffers are flat arrays of the same size.  Bias correction follows the
-    standard formulation; ``step_count`` increases by exactly one per
-    :func:`adam_step`.
+    ``grad``: construction copies each parameter's values and gradient into
+    them and rebinds its ``data`` and ``grad`` to its views, so backward
+    adds into the buffer until it is zeroed and one update covers every
+    parameter.  Code that changes a parameter or its gradient afterwards
+    writes in place (``p.data[...] =``); rebinding either would cut it off
+    from the optimizer.  The moments and two scratch buffers are flat arrays
+    of the same size.  Bias correction follows the standard formulation;
+    ``step_count`` increases by exactly one per :func:`adam_step`.
     """
 
     def __init__(self, params, learning_rate=3e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -36,7 +35,7 @@ class AdamState:
             raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
         offsets = np.cumsum([0] + [p.data.size for p in self.params])
         self.flat = np.empty(offsets[-1], dtypes.pop() if dtypes else np.float64)
-        self.grad = np.zeros_like(self.flat)
+        self.grad = np.empty_like(self.flat)
         self.first_moment = np.zeros_like(self.flat)
         self.second_moment = np.zeros_like(self.flat)
         self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
@@ -45,8 +44,7 @@ class AdamState:
             view[...] = p.data
             p.data = view
             grad = self.grad[lo:hi].reshape(view.shape)
-            if p.grad is not None:
-                grad[...] = p.grad
+            grad[...] = p.grad
             p.grad = grad
 
 

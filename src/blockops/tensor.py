@@ -3,7 +3,7 @@
 Every value flowing through a model is a :class:`Tensor` wrapping a numpy
 array.  Operations record their parents and a backward closure; calling
 ``backward()`` on a scalar loss topologically sorts the recorded graph and
-accumulates gradients into every reachable leaf that requires them.
+adds gradients into the buffer that each reachable :func:`parameter` owns.
 Inside ``with no_grad():`` operations record nothing: their results are plain
 constant tensors, so an evaluation forward keeps no graph alive.
 
@@ -66,9 +66,9 @@ def no_grad():
 class Tensor:
     """A node in the autodiff graph.
 
-    ``data`` is always a numpy array.  ``grad`` is populated (same shape as
-    ``data``) by a backward pass when ``requires_grad`` is set, either because
-    the tensor is a leaf parameter or because one of its ancestors is.
+    ``data`` is always a numpy array.  ``grad``, laid out like ``data``, is
+    the buffer a leaf parameter owns and every backward pass adds into; an
+    intermediate node holds one only while a backward pass runs.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -100,14 +100,13 @@ class Tensor:
             raise ValueError(f"item() requires a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def backward(self, params=None):
+    def backward(self):
         """Reverse-mode pass from this scalar.
 
-        Gradients accumulate into ``grad`` of every leaf on the path that
-        requires them.  An intermediate node's ``grad`` is dropped as soon as
-        its own backward has run, so after the pass only leaves hold one.
-        ``params``, when given, are leaves that get a zero gradient if the
-        graph never reached them and they hold none.
+        Gradients add into the ``grad`` buffer of every leaf on the path;
+        a leaf the pass does not reach keeps its buffer as it was.  An
+        intermediate node's ``grad`` is dropped as soon as its own backward
+        has run, so after the pass only leaves hold one.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss tensor")
@@ -131,10 +130,6 @@ class Tensor:
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
                 node.grad = None
-        if params is not None:
-            for p in params:
-                if p.requires_grad and p.grad is None:
-                    p.grad = np.zeros_like(p.data)
 
     # Operator sugar; scalars are promoted to constant tensors.
     def __add__(self, other):
@@ -156,12 +151,17 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad=False, dtype=np.float64) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=requires_grad)
+def tensor(data, dtype=np.float64) -> Tensor:
+    return Tensor(np.asarray(data, dtype=dtype))
 
 
 def parameter(data) -> Tensor:
-    return Tensor(np.asarray(data), requires_grad=True)
+    """A trainable leaf that owns its gradient buffer from the start."""
+    t = Tensor(np.asarray(data), requires_grad=True)
+    # -0.0 is IEEE's additive identity: -0.0 + x has the bits of x, signed
+    # zeros included, so a first gradient lands as it is (+0.0 + -0.0 = +0.0)
+    t.grad = np.full_like(t.data, -0.0)
+    return t
 
 
 def _lift(value, dtype) -> Tensor:
@@ -202,22 +202,21 @@ def _accumulate(t: Tensor, g: np.ndarray):
     needs ``g`` to have the node's shape and dtype and both arrays to be
     C-contiguous: a strided gradient would send later BLAS calls down
     another path and change the bits.  A leaf adds in place into the buffer
-    it owns: its view of the optimizer's gradient buffer (``AdamState``), or
-    else a copy of its first gradient.  Every buffer has the memory layout
-    of ``t.data``.
+    it owns, from :func:`parameter` or its view of the optimizer's gradient
+    buffer (``AdamState``).  Every buffer has the memory layout of
+    ``t.data``.
     """
     if not t.requires_grad:
         return
-    leaf = t._backward_fn is None
-    if t.grad is None:
-        if (not leaf and g.shape == t.data.shape and g.dtype == t.data.dtype
+    if t._backward_fn is None:
+        t.grad += g
+    elif t.grad is None:
+        if (g.shape == t.data.shape and g.dtype == t.data.dtype
                 and g.flags.c_contiguous and t.data.flags.c_contiguous):
             t.grad = g
         else:
             t.grad = np.empty_like(t.data)
             np.copyto(t.grad, g)
-    elif leaf:
-        t.grad += g
     else:
         t.grad = np.add(t.grad, g, out=np.empty_like(t.data))
 

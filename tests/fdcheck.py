@@ -42,7 +42,7 @@ def grad_check(make_loss, arrays, h=1e-5):
     arrays = [np.array(a, dtype=np.float64) for a in arrays]
     params = [T.parameter(a.copy()) for a in arrays]
     loss = make_loss(*params)
-    loss.backward(params=params)
+    loss.backward()
 
     worst = 0.0
     for k in range(len(arrays)):

@@ -306,7 +306,7 @@ def test_every_op_matches_finite_differences():
         return T.sum_all(T.mul(out, T.tensor(w_out)))
 
     loss = model_loss()
-    loss.backward(params=params)
+    loss.backward()
     worst_model = 0.0
     for p in params:
         def value_at(v, p=p):

@@ -607,7 +607,7 @@ class TestApplySmfrBias:
         traces = [LayerTrace(mux_weights=weights, mux_logits=weights,
                              gate_values=weights, gate_logits=weights, routed=None)]
         loss = apply_smfr_bias(traces, np.array([2]), self.pset, step=0)
-        loss.backward(params=[logits])
+        loss.backward()
         inv = np.argsort(self.pset.perms[2])
         grad = logits.grad[0]
         for n in range(4):
@@ -1019,9 +1019,9 @@ class TestTrainingGraph:
         counts = []
         backward = Tensor.backward
 
-        def spy(loss, params=None):
+        def spy(loss):
             counts.append(graph_nodes(loss))
-            return backward(loss, params)
+            return backward(loss)
 
         monkeypatch.setattr(Tensor, "backward", spy)
         monkeypatch.setattr(training, "evaluate_accuracy", lambda *args: 0.0)
@@ -1055,9 +1055,9 @@ class TestTrainingGraph:
         losses, states = [], []
         backward, adam = Tensor.backward, training.adam_step
 
-        def spy(loss, params=None):
+        def spy(loss):
             losses.append(loss)
-            return backward(loss, params)
+            return backward(loss)
 
         def spy_adam(state):
             states.append(state)
@@ -1230,9 +1230,9 @@ class TestFlatGradients:
             bundles.append(bundle)
             return rngs, pset, bundle
 
-        def spy_backward(loss, params=None):
+        def spy_backward(loss):
             zeroed.append(not bundles[0].opt.grad.any())
-            return backward(loss, params)
+            return backward(loss)
 
         def spy_adam(state):
             seen.append((all(p.grad.base is state.grad for p in state.params),

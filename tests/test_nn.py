@@ -355,7 +355,7 @@ class TestRoutingRegularization:
         mux_logits[0, 0, 0] = 22.0
         mux_logits[0, 1, 1] = -25.0
         trace, mux, gate = self.trace(mux_logits, np.zeros((1, 2)))
-        routing_regularization_loss([trace]).backward(params=[mux, gate])
+        routing_regularization_loss([trace]).backward()
         assert mux.grad[0, 0, 0] > 0.0
         assert mux.grad[0, 1, 1] < 0.0
         assert mux.grad[0, 0, 1] == 0.0
@@ -396,7 +396,7 @@ class TestSmfrGradients:
             return T.sum_all(T.mul(out, T.tensor(w_out)))
 
         loss = loss_tensor()
-        loss.backward(params=params.values())
+        loss.backward()
 
         h = 1e-5
         worst = 0.0
@@ -421,8 +421,7 @@ class TestSmfrGradients:
         layer = model.layers[0]
         x = np.random.default_rng(1).normal(size=(3, 2, 3))
         out, _ = model.forward(T.tensor(x))
-        params = model.parameters()
-        T.sum_all(out).backward(params=params.values())
+        T.sum_all(out).backward()
         mux_w = layer.mux.fnn.layers[0][0]
         fnnr_w = layer.fnnr.fnn.layers[0][0]
         assert np.abs(mux_w.grad).max() > 0.0

@@ -35,7 +35,7 @@ class TestElementwiseOps:
         x = T.parameter([2.0])
         y = 3.0 * x + 1.0 + -x
         loss = T.sum_all(y * y)
-        loss.backward(params=[x])
+        loss.backward()
         # y = 2x + 1 = 5, d(y^2)/dx = 2*5*2
         assert y.data[0] == pytest.approx(5.0)
         assert x.grad[0] == pytest.approx(20.0)
@@ -99,7 +99,7 @@ class TestMatmul:
             return T.sum_all(T.mul(composed.matmul(pair["a"], pair["b"]), T.tensor(w)))
 
         x = T.parameter(arrays[learned].copy())
-        loss(x).backward(params=[x])
+        loss(x).backward()
         assert fixed.grad is None
         numeric = finite_difference(lambda v: float(loss(T.tensor(v)).data), arrays[learned])
         assert relative_error(x.grad, numeric) < 1e-6
@@ -114,7 +114,7 @@ class TestLeakyRelu:
 
     def test_negative_side_slope(self):
         x = T.parameter([-2.0, 3.0])
-        T.sum_all(T.leaky_relu(x)).backward(params=[x])
+        T.sum_all(T.leaky_relu(x)).backward()
         assert x.grad[0] == pytest.approx(0.01)
         assert x.grad[1] == pytest.approx(1.0)
 
@@ -245,14 +245,14 @@ class TestGumbelStraightThrough:
         p = T.parameter(logits.copy())
         out = T.gumbel_softmax_st(p, axis=1, temperature=temperature,
                                   rng=np.random.default_rng(123))
-        T.sum_all(T.mul(out, T.tensor(c))).backward(params=[p])
+        T.sum_all(T.mul(out, T.tensor(c))).backward()
 
         eps = 1e-20
         u = np.random.default_rng(123).random(size=logits.shape)
         noise = -np.log(-np.log(u + eps) + eps)
         q = T.parameter(logits.copy())
         soft = T.softmax(T.mul(T.add(q, T.tensor(noise)), T.tensor(1.0 / temperature)), axis=1)
-        T.sum_all(T.mul(soft, T.tensor(c))).backward(params=[q])
+        T.sum_all(T.mul(soft, T.tensor(c))).backward()
 
         assert np.allclose(p.grad, q.grad, atol=1e-12)
 
@@ -266,7 +266,7 @@ class TestGumbelStraightThrough:
         T.gumbel_softmax_st(T.tensor(logits), axis=1, temperature=0.7, rng=rngs[1])
         assert out.dtype == np.float32
         assert rngs[0].random() == rngs[1].random()
-        T.sum_all(out).backward(params=[p])
+        T.sum_all(out).backward()
         assert p.grad.dtype == np.float32
 
     def test_rejects_nonpositive_temperature(self):
@@ -284,7 +284,7 @@ class TestHardArgmax:
         x = T.parameter([[0.1, 5.0, -2.0]])
         out = T.hard_argmax(x, axis=1)
         loss = T.sum_all(T.mul(out, out))
-        loss.backward(params=[x])
+        loss.backward()
         assert np.array_equal(x.grad, np.zeros((1, 3)))
 
 
@@ -331,7 +331,7 @@ class TestCrossEntropy:
             params = [T.parameter(x.copy()), T.parameter(w.copy())]
             logits = T.affine(*params)
             loss = loss_fn(logits, targets)
-            T.add(loss, T.sum_all(T.mul(logits, c))).backward(params=params)
+            T.add(loss, T.sum_all(T.mul(logits, c))).backward()
             runs.append([loss.data.tobytes()] + [p.grad.tobytes() for p in params])
         assert runs[0] == runs[1]
 
@@ -368,7 +368,7 @@ class TestShapeOps:
         b = T.parameter(np.ones((2, 3)))
         out = T.concat([a, b], axis=1)
         assert out.data.shape == (2, 5)
-        T.sum_all(T.mul(out, T.tensor(np.arange(10, dtype=np.float64).reshape(2, 5)))).backward(params=[a, b])
+        T.sum_all(T.mul(out, T.tensor(np.arange(10, dtype=np.float64).reshape(2, 5)))).backward()
         assert np.array_equal(a.grad, [[0.0, 1.0], [5.0, 6.0]])
         assert np.array_equal(b.grad, [[2.0, 3.0, 4.0], [7.0, 8.0, 9.0]])
 
@@ -376,20 +376,20 @@ class TestShapeOps:
         x = T.parameter(np.arange(10, dtype=np.float64).reshape(2, 5))
         out = T.slice_axis(x, axis=1, start=1, stop=3)
         assert np.array_equal(out.data, [[1.0, 2.0], [6.0, 7.0]])
-        T.sum_all(out).backward(params=[x])
+        T.sum_all(out).backward()
         assert np.array_equal(x.grad, [[0, 1, 1, 0, 0], [0, 1, 1, 0, 0]])
 
 
 class TestBackwardPass:
     def test_sum_all_gradient_is_ones(self):
         x = T.parameter(np.zeros((3, 2)))
-        T.sum_all(x).backward(params=[x])
+        T.sum_all(x).backward()
         assert np.array_equal(x.grad, np.ones((3, 2)))
 
     def test_identity_path_gradient_is_one(self):
         x = T.parameter([3.0])
         y = x + 0.0
-        T.sum_all(y).backward(params=[x])
+        T.sum_all(y).backward()
         assert x.grad[0] == pytest.approx(1.0)
 
     def test_requires_scalar_loss(self):
@@ -397,16 +397,27 @@ class TestBackwardPass:
         with pytest.raises(ValueError):
             T.add(x, x).backward()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_parameter_owns_a_negative_zero_grad_from_construction(self, dtype):
+        x = T.parameter(np.ones((2, 3), dtype=dtype))
+        assert x.grad.shape == (2, 3) and x.grad.dtype == dtype
+        assert np.all(x.grad == 0.0) and np.all(np.signbit(x.grad))
+
+    def test_backward_takes_no_params(self):
+        x = T.parameter([1.0])
+        with pytest.raises(TypeError):
+            T.sum_all(x).backward(params=[x])
+
     def test_unreached_parameter_gets_zero_grad(self):
         used = T.parameter([1.0])
         unused = T.parameter([1.0])
-        T.sum_all(used).backward(params=[used, unused])
+        T.sum_all(used).backward()
         assert np.array_equal(unused.grad, [0.0])
 
     def test_shared_node_accumulates(self):
         x = T.parameter([2.0])
         y = T.add(T.mul(x, x), x)
-        T.sum_all(y).backward(params=[x])
+        T.sum_all(y).backward()
         assert x.grad[0] == pytest.approx(5.0)
 
     def test_no_grad_records_nothing(self):
@@ -429,7 +440,7 @@ class TestBackwardPass:
                 raise RuntimeError("inside")
         y = x * 2.0
         assert y.requires_grad and y._parents
-        T.sum_all(y).backward(params=[x])
+        T.sum_all(y).backward()
         assert x.grad[0] == 2.0
 
     def test_deep_chain_does_not_hit_recursion_limit(self):
@@ -437,7 +448,7 @@ class TestBackwardPass:
         y = x
         for _ in range(5000):
             y = y + 0.0
-        T.sum_all(y).backward(params=[x])
+        T.sum_all(y).backward()
         assert x.grad[0] == pytest.approx(1.0)
 
 
@@ -458,7 +469,7 @@ class TestGradientOwnership:
     def test_leaves_given_one_gradient_get_separate_buffers(self):
         a = T.parameter([1.0])
         b = T.parameter([1.0])
-        T.sum_all(T.add(a, b)).backward(params=[a, b])
+        T.sum_all(T.add(a, b)).backward()
         assert a.grad is not b.grad
         # the optimizer takes the gradients in, and its clip scales both
         clip_global_norm(AdamState([a, b]), max_norm=0.1)
@@ -478,7 +489,7 @@ class TestGradientOwnership:
             backward(g)
 
         y._backward_fn = spy
-        T.sum_all(T.mul(composed.transpose(y, (1, 0)), T.tensor(c))).backward(params=[x])
+        T.sum_all(T.mul(composed.transpose(y, (1, 0)), T.tensor(c))).backward()
         assert seen[0].flags.c_contiguous
         assert np.array_equal(seen[0], c.T)
         assert np.array_equal(x.grad, 2.0 * c.T)
@@ -497,7 +508,7 @@ class TestGradientOwnership:
             backward(g)
 
         weights._backward_fn = spy
-        T.sum_all(T.mul(T.mix(weights, T.tensor(blocks)), T.tensor(c))).backward(params=[p])
+        T.sum_all(T.mul(T.mix(weights, T.tensor(blocks)), T.tensor(c))).backward()
         want = (c @ blocks.swapaxes(-1, -2)).swapaxes(-1, -2)
         assert seen[0].flags.c_contiguous
         assert np.array_equal(seen[0], want)
@@ -508,7 +519,7 @@ class TestGradientOwnership:
         h = T.mul(x, x)
         y = T.reshape(h, (3, 2))
         loss = T.sum_all(y)
-        loss.backward(params=[x])
+        loss.backward()
         assert h.grad is None and y.grad is None and loss.grad is None
         assert np.array_equal(x.grad, 2.0 * np.ones((2, 3)))
 
@@ -526,7 +537,7 @@ class TestGradientOwnership:
         both = T.sum_all(T.mul(T.add(u, v), T.tensor(c)))
         sliced = T.sum_all(T.mul(T.slice_axis(u, 1, 0, 1), T.tensor(c2)))
         alone = T.sum_all(T.mul(v, T.tensor(c3)))
-        T.add(T.add(both, sliced), alone).backward(params=[p, q])
+        T.add(T.add(both, sliced), alone).backward()
         want_p = c.copy()
         want_p[:, :1] += c2
         assert np.allclose(p.grad, want_p, rtol=0, atol=1e-15)
@@ -543,8 +554,8 @@ class TestFusedOps:
         out_f = T.affine(*fused)
         out_s = T.add(composed.matmul(split[0], split[1]), split[2])
         assert out_f.data.tobytes() == out_s.data.tobytes()
-        T.sum_all(T.mul(out_f, c)).backward(params=fused)
-        T.sum_all(T.mul(out_s, c)).backward(params=split)
+        T.sum_all(T.mul(out_f, c)).backward()
+        T.sum_all(T.mul(out_s, c)).backward()
         for f, s in zip(fused, split):
             assert f.grad.tobytes() == s.grad.tobytes()
 
@@ -560,8 +571,8 @@ class TestFusedOps:
         out_f = T.affine(x, fused[1], fused[2])
         out_s = T.add(composed.matmul(T.mul(split[0], T.tensor(1.5)), split[1]), split[2])
         assert out_f.data.tobytes() == out_s.data.tobytes()
-        T.sum_all(T.mul(out_f, c)).backward(params=fused)
-        T.sum_all(T.mul(out_s, c)).backward(params=split)
+        T.sum_all(T.mul(out_f, c)).backward()
+        T.sum_all(T.mul(out_s, c)).backward()
         for i in (0, 2):
             assert fused[i].grad.tobytes() == split[i].grad.tobytes()
         # the weight gradient is one 2-D product over the flattened leading
@@ -579,8 +590,8 @@ class TestFusedOps:
         out_z = T.affine(T.mul(zero[0], T.tensor(1.5)), zero[1], T.tensor(np.zeros(3)))
         assert len(out_f._parents) == 2
         assert out_f.data.tobytes() == out_z.data.tobytes()
-        T.sum_all(T.mul(out_f, c)).backward(params=free)
-        T.sum_all(T.mul(out_z, c)).backward(params=zero)
+        T.sum_all(T.mul(out_f, c)).backward()
+        T.sum_all(T.mul(out_z, c)).backward()
         for f, z in zip(free, zero):
             assert f.grad.tobytes() == z.grad.tobytes()
 
@@ -600,8 +611,8 @@ class TestFusedOps:
         out_f = T.band_excess([fused], 2.0)
         out_s = composed.band_excess([split], 2.0)
         assert out_f.data.tobytes() == out_s.data.tobytes()
-        T.mul(out_f, T.tensor(0.7)).backward(params=[fused])
-        T.mul(out_s, T.tensor(0.7)).backward(params=[split])
+        T.mul(out_f, T.tensor(0.7)).backward()
+        T.mul(out_s, T.tensor(0.7)).backward()
         assert fused.grad.tobytes() == split.grad.tobytes()
         assert np.any(fused.grad != 0.0) and np.any(fused.grad == 0.0)
 
@@ -618,7 +629,7 @@ class TestFusedOps:
             xs = [T.mul(p, T.tensor(1.5)) for p in params]
             out = penalty([xs[0], xs[1], xs[0], xs[2]], 2.0)
             loss = T.add(T.mul(out, T.tensor(0.7)), T.sum_all(T.mul(xs[0], c)))
-            loss.backward(params=params)
+            loss.backward()
             grads.append([out.data.tobytes()] + [p.grad.tobytes() for p in params])
         assert grads[0] == grads[1]
 
@@ -636,7 +647,7 @@ class TestFusedOps:
             weights = T.softmax(params[0], axis=1)
             out = mix(weights, T.mul(params[1], T.tensor(1.5)))
             loss = T.add(T.sum_all(T.mul(out, c)), T.sum_all(T.mul(weights, c2)))
-            loss.backward(params=params)
+            loss.backward()
             grads.append([out.data.tobytes()] + [p.grad.tobytes() for p in params])
         assert grads[0] == grads[1]
 
@@ -658,7 +669,7 @@ class TestFusedOps:
             out, gates, logits = composed.gate(routed, trunk)
         penalty = T.band_excess([logits, T.slice_axis(trunk, 1, 2, 6)], 1.0)
         assert penalty.data > 0.0
-        T.add(T.sum_all(T.mul(out, c)), penalty).backward(params=params)
+        T.add(T.sum_all(T.mul(out, c)), penalty).backward()
         return out.data, gates.data, [p.grad for p in params]
 
     def test_gate_is_bitwise_the_composed_ops(self):
@@ -712,8 +723,8 @@ class TestFusedOps:
         out_f = T.affine(*fused[:3], residual=T.mul(fused[3], T.tensor(1.5)))
         out_s = T.add(T.mul(split[3], T.tensor(1.5)), T.affine(*split[:3]))
         assert out_f.data.tobytes() == out_s.data.tobytes()
-        T.sum_all(T.mul(out_f, c)).backward(params=fused)
-        T.sum_all(T.mul(out_s, c)).backward(params=split)
+        T.sum_all(T.mul(out_f, c)).backward()
+        T.sum_all(T.mul(out_s, c)).backward()
         for f, s in zip(fused, split):
             assert f.grad.tobytes() == s.grad.tobytes()
 
@@ -737,7 +748,7 @@ class TestFusedOps:
             x = T.concat([T.mul(p, T.tensor(2.0)), T.mul(p, T.tensor(0.3))], axis=2)
             out = (T.affine(x, w, b, residual=r) if fused
                    else T.add(r, T.affine(x, w, b)))
-            T.sum_all(T.mul(out, c)).backward(params=[p, w, b])
+            T.sum_all(T.mul(out, c)).backward()
             grads.append(p.grad.tobytes())
         assert grads[0] == grads[1]
 
@@ -789,8 +800,8 @@ class TestFusedOps:
             *(T.mul(x, T.tensor(1.5)) for x in split), heads)
         assert out_f.data.tobytes() == out_s.data.tobytes()
         assert weights_f.data.tobytes() == weights_s.data.tobytes()
-        T.sum_all(T.mul(out_f, c)).backward(params=fused)
-        T.sum_all(T.mul(out_s, c)).backward(params=split)
+        T.sum_all(T.mul(out_f, c)).backward()
+        T.sum_all(T.mul(out_s, c)).backward()
         # each operand's gradient reaches its parameter with the bits of the
         # head split's backward
         for f, s in zip(fused, split):
@@ -802,7 +813,7 @@ class TestFusedOps:
         c = T.tensor(rng.normal(size=(2, 4, 6)))
         nodes = {s: T.mul(x, T.tensor(s)) for s in scales}
         out = attention(*(nodes[s] for s in scales), 2)[0]
-        T.sum_all(T.mul(out, c)).backward(params=[x])
+        T.sum_all(T.mul(out, c)).backward()
         return x.grad.tobytes()
 
     def test_attention_keeps_the_composed_order_into_a_shared_input(self):
@@ -983,7 +994,7 @@ class TestOneAllocationOps:
         unbroadcast = T._unbroadcast
         monkeypatch.setattr(T, "_unbroadcast",
                             lambda g, shape: formed.append(shape) or unbroadcast(g, shape))
-        T.sum_all(out).backward(params=[param])
+        T.sum_all(out).backward()
         assert const.grad is None
         assert param.grad is not None
         assert formed == [(3, 4)]
