@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import math
+import types
 import typing
 from dataclasses import dataclass, field
 
@@ -231,7 +232,7 @@ def _from_dict(cls, data: dict, path: str):
         raise ConfigError(
             f"{path + '.' if path else ''}{unknown[0]}: unknown key; valid keys here: "
             + ", ".join(sorted(fields)))
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     kwargs = {}
     for name, f in fields.items():
         if name not in data:
@@ -261,9 +262,20 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()[:16]
 
 
-def valid_override_keys(cls=ExperimentConfig, prefix: str = "") -> list[str]:
+@functools.cache
+def _field_types(cls) -> types.MappingProxyType:
+    """The resolved type of each field of a config dataclass, read-only.
+    Resolving the string annotations is most of the cost of reading or
+    validating a config, so it runs once per class and process."""
+    return types.MappingProxyType(typing.get_type_hints(cls))
+
+
+@functools.cache
+def valid_override_keys(cls=ExperimentConfig, prefix: str = "") -> tuple[str, ...]:
+    """The dotted path of every leaf field, in declaration order; computed
+    once per process and shared, hence a tuple."""
     keys = []
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     for f in dataclasses.fields(cls):
         ftype = hints[f.name]
         dotted = f"{prefix}{f.name}"
@@ -271,7 +283,7 @@ def valid_override_keys(cls=ExperimentConfig, prefix: str = "") -> list[str]:
             keys.extend(valid_override_keys(ftype, prefix=f"{dotted}."))
         else:
             keys.append(dotted)
-    return keys
+    return tuple(keys)
 
 
 def parse_override(text: str) -> tuple[str, object]:

@@ -91,8 +91,9 @@ class ModelBundle:
 
     A trial computes in ``BLOCK_DTYPE`` (float32), the dtype the encoders
     emit: the parameters are drawn from the init stream in float64 and then
-    rounded to it, so the draws do not depend on the dtype.  The optimizer
-    state and the checkpoints follow the parameters."""
+    rounded to it, so the draws do not depend on the dtype; their -0.0
+    gradient buffers are cast with them.  The optimizer state and the
+    checkpoints follow the parameters."""
 
     def __init__(self, cfg: ExperimentConfig, shape, init_rng):
         self.cfg = cfg
@@ -114,6 +115,7 @@ class ModelBundle:
             self.params.update(self.head.parameters())
         for p in self.params.values():
             p.data = p.data.astype(BLOCK_DTYPE)
+            p.grad = p.grad.astype(BLOCK_DTYPE)
         self.opt = AdamState(
             list(self.params.values()),
             learning_rate=cfg.optimizer.learning_rate,
@@ -276,14 +278,16 @@ class _Window:
     sampled routing logits against the penalty's band, the gradient clip,
     and wall time.
 
-    Each step reads the batch's largest |logit|; the step is beyond the band
-    when that exceeds the regularization threshold, whether or not the
-    penalty is enabled.  Kept for the run: the peak, the count of steps
-    beyond the band and the longest run of consecutive such steps; and per
-    evaluation window: the window's peak and its count of steps beyond.
-    Models without routing traces leave these at zero.  Per window, too:
-    the count of steps whose gradient the global-norm clip scaled down, and
-    the smallest scale it applied (1.0 when it never fired).
+    Each step hands in its batch's largest |logit|, the peak it computed
+    before backward to decide whether to build the penalty; the step is
+    beyond the band when that exceeds the regularization threshold, whether
+    or not the penalty is enabled.  Kept for the run: the peak, the count
+    of steps beyond the band and the longest run of consecutive such steps;
+    and per evaluation window: the window's peak and its count of steps
+    beyond.  Models without routing traces leave these at zero.  Per
+    window, too: the count of steps whose gradient the global-norm clip
+    scaled down, and the smallest scale it applied (1.0 when it never
+    fired).
 
     A window starts when the previous record drains it (or when the
     accumulator is built) and its training ends where its evaluation starts;
@@ -305,13 +309,14 @@ class _Window:
         self._start = time.perf_counter()
         self._step = 0
 
-    def update(self, traces, clip_scale: float) -> None:
+    def update(self, peak: float | None, clip_scale: float) -> None:
+        """Count one step: ``peak`` is its largest |logit|, None for a model
+        without routing traces."""
         if clip_scale < 1.0:
             self._clipped += 1
             self._min_clip_scale = min(self._min_clip_scale, clip_scale)
-        if not traces:
+        if peak is None:
             return
-        peak = max_abs_routing_logit(traces)
         self.peak = max(self.peak, peak)
         self._window_peak = max(self._window_peak, peak)
         if peak > self.threshold:
@@ -351,6 +356,15 @@ class _Window:
 def _train_step(bundle: ModelBundle, window: _Window, batch_loss, step: int):
     """Run training step ``step``; returns (its loss, its penalty) as floats.
 
+    The step reads its largest |routing logit| once, before backward, and
+    builds the penalty node only when a logit lies beyond the band (or is
+    NaN, so that the penalty makes the loss NaN).  Skipping it elsewhere
+    keeps the bits: for an in-band logit x, ``x - clip(x)`` is exactly
+    +0.0, so the node would add 0.0 to the loss and +0.0 to each logit's
+    gradient, which can only turn a -0.0 entry into +0.0, a sign that Adam
+    does not read off a zero gradient (``tools/bitcheck.py`` trials train
+    to the same bits either way).
+
     Backward adds into the optimizer's flat gradient buffer, zeroed once
     per step, and the clip and Adam run on it.  The step's graph (the loss,
     the traces, the penalty and ``extra``) lives only in this call, so it is
@@ -359,9 +373,11 @@ def _train_step(bundle: ModelBundle, window: _Window, batch_loss, step: int):
     cfg = bundle.cfg
     loss, traces, extra = batch_loss(step)
     routing = [tr for tr in traces if isinstance(tr, LayerTrace)]
+    peak = max_abs_routing_logit(routing) if routing else None
     total, reg_value = loss, 0.0
-    if cfg.regularization.enabled and routing:
-        reg = routing_regularization_loss(routing, cfg.regularization.threshold)
+    threshold = cfg.regularization.threshold
+    if cfg.regularization.enabled and peak is not None and not peak <= threshold:
+        reg = routing_regularization_loss(routing, threshold)
         total, reg_value = loss + reg, float(reg.data)
     if extra is not None:
         total = total + extra
@@ -371,7 +387,7 @@ def _train_step(bundle: ModelBundle, window: _Window, batch_loss, step: int):
     total.backward()
     clip_scale = clip_global_norm(bundle.opt, cfg.clip_norm)
     adam_step(bundle.opt)
-    window.update(routing, clip_scale)
+    window.update(peak, clip_scale)
     return float(loss.data), reg_value
 
 
@@ -381,16 +397,17 @@ def _train(bundle: ModelBundle, writer: MetricsWriter, window: _Window, batch_lo
     whether ``stop`` ended the training).
 
     A step (``_train_step``) takes ``batch_loss(step) -> (loss, traces,
-    extra or None)``, adds the routing penalty and ``extra`` (the image
-    task's routing bias), and runs backward, clip and Adam; a total loss
-    that is not finite raises ``NonFiniteLoss`` before any of them runs.
-    One step's graph is alive at a time.  The penalty and the window read
-    the Multiplexer and gate logits of the ``LayerTrace``s only; attention
-    traces carry no logits.  Every ``eval_every``-th step, counted from the
-    start of the trial, and the last step when ``eval_last`` is set, writes
-    a metrics record: the fields of ``evaluate(step)``, the step's loss and
-    penalty, and the window's fields.  Training stops after a record whose
-    fields satisfy ``stop``."""
+    extra or None)``, adds the routing penalty when a logit lies beyond
+    its band and ``extra`` (the image task's routing bias), and runs
+    backward, clip and Adam; a total loss that is not finite raises
+    ``NonFiniteLoss`` before any of them runs.  One step's graph is alive
+    at a time.  The penalty and the window read the Multiplexer and gate
+    logits of the ``LayerTrace``s only; attention traces carry no logits.
+    Every ``eval_every``-th step, counted from the start of the trial, and
+    the last step when ``eval_last`` is set, writes a metrics record: the
+    fields of ``evaluate(step)``, the step's loss and penalty, and the
+    window's fields.  Training stops after a record whose fields satisfy
+    ``stop``."""
     cfg = bundle.cfg
     step = start
     while step < steps:

@@ -286,11 +286,17 @@ def routing_regularization_loss(traces, threshold: float = 20.0) -> Tensor:
 
 
 def max_abs_routing_logit(traces) -> float:
-    """Largest |logit| over every Multiplexer and gate logit in the traces."""
+    """Largest |logit| over every Multiplexer and gate logit in the traces,
+    0.0 for none, and NaN when any logit is NaN, whatever its place (Python's
+    ``max`` keeps or drops a NaN depending on the argument order)."""
     peak = 0.0
     for tr in traces:
-        peak = max(peak, float(np.abs(tr.mux_logits.data).max()),
-                   float(np.abs(tr.gate_logits.data).max()))
+        for logits in (tr.mux_logits, tr.gate_logits):
+            m = float(np.abs(logits.data).max())
+            if not m <= peak:
+                if m != m:
+                    return m
+                peak = m
     return peak
 
 

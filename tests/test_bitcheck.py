@@ -136,7 +136,25 @@ def test_drift_of_identical_runs_marks_nothing(bitcheck, pair, capsys):
     out = capsys.readouterr().out
     assert "MOVED" not in out
     assert " loss " in out and " accuracy_iter_9 " in out
+    assert " max_routing_logit " in out and " steps_beyond_band " in out
     assert out.splitlines()[-1].startswith("0 of ")
+
+
+def test_drift_shows_the_logit_peak_and_the_steps_beyond_the_band(bitcheck, pair, capsys):
+    with open(find(pair[0], ".jsonl")) as fh:
+        final = [json.loads(line) for line in fh][-1]
+
+    def edit(record):
+        if record["record"] == "final":
+            record["steps_beyond_band"] += 2
+    edit_records(find(pair[1], ".jsonl"), edit)
+    assert bitcheck.drift(*pair) == 0
+    rows = {line.split()[2]: line.split()[3:] for line in
+            capsys.readouterr().out.splitlines()[:-1]}
+    peak = f"{final['max_routing_logit']:.9g}"
+    beyond = final["steps_beyond_band"]
+    assert rows["max_routing_logit"] == [peak, peak]
+    assert rows["steps_beyond_band"] == [str(beyond), str(beyond + 2), "MOVED"]
 
 
 def test_drift_names_a_changed_loss(bitcheck, pair, capsys):

@@ -24,6 +24,7 @@ from blockops.harness.metrics import MetricsWriter, read_records, results_path
 from blockops.harness.training import (
     build_model, evaluate_accuracy, apply_smfr_bias, code_fingerprint, run_trial,
 )
+from blockops.harness import config as config_mod
 from blockops.harness import training
 from blockops.harness.grid import GridSpec, grid_search, size_bucket
 from blockops.harness import report as report_mod
@@ -301,6 +302,28 @@ class TestOverrides:
         assert "optimizer.beta2" in keys
         assert "variants.alternate_split" in keys
         assert "model" not in keys
+
+    def test_the_key_list_is_computed_once_and_read_only(self):
+        keys = valid_override_keys()
+        assert keys == (
+            "experiment", "seed", "model.kind", "model.stack_width", "model.stack_depth",
+            "model.fnn_hidden", "model.attention", "model.gumbel_temperature",
+            "model.hidden_widths", "model.model_width", "model.num_heads",
+            "model.encoder_layers", "model.decoder_layers", "model.ffn_width",
+            "optimizer.learning_rate", "optimizer.beta1", "optimizer.beta2",
+            "optimizer.epsilon", "regularization.enabled", "regularization.threshold",
+            "variants.bias", "variants.no_context", "variants.noisy_permutation",
+            "variants.alternate_split", "bpmnist.scale", "bpmnist.indicator",
+            "bpmnist.eval_subset", "bpmnist.probe_size", "clip_norm", "batch_size",
+            "max_steps", "eval_every", "full_eval_every", "threshold", "interference_steps",
+            "early_stop_evals", "loss_per_step", "results_dir", "data_dir")
+        assert valid_override_keys() is keys
+        with pytest.raises(AttributeError):
+            keys.append("model")
+        hints = config_mod._field_types(ExperimentConfig)
+        with pytest.raises(TypeError):
+            hints["seed"] = str
+        assert ExperimentConfig.from_dict({"seed": 3}).seed == 3
 
 
 class TestEvaluateAccuracy:
@@ -819,7 +842,9 @@ class TestRunTrial:
             return penalty(traces, threshold)
 
         monkeypatch.setattr(training, "routing_regularization_loss", spy)
-        data = tiny_config(tmp_path, experiment="algo", max_steps=2, eval_every=2)
+        # a band every step leaves, so every step builds the penalty
+        data = tiny_config(tmp_path, experiment="algo", max_steps=2, eval_every=2,
+                           regularization={"threshold": 1e-6})
         run_trial(ExperimentConfig.from_dict(data))
         assert seen == [2, 2]
 
@@ -913,6 +938,26 @@ class TestTrialDtype:
         tensors, _ = load_checkpoint(checkpoint)
         assert {a.dtype.name for a in tensors.values()} == {"float32"}
 
+    @pytest.mark.parametrize("experiment, kind", [("doubleadd", "smfr"), ("doubleadd", "fnn"),
+                                                  ("algo", "transformer"), ("bpmnist", "smfr")])
+    def test_the_optimizer_gets_float32_birth_gradients(self, tmp_path, monkeypatch,
+                                                        experiment, kind):
+        # each parameter's -0.0 gradient buffer is cast with its values, so
+        # no float64 copy of the parameters is made only to be dropped
+        handed = []
+        adam_state = training.AdamState
+
+        def spy(params, **kwargs):
+            # as handed in: the optimizer then rebinds each grad to its buffer
+            handed.extend((p.grad.dtype, bool(np.all(p.grad == 0.0)),
+                           bool(np.all(np.signbit(p.grad)))) for p in params)
+            return adam_state(params, **kwargs)
+        monkeypatch.setattr(training, "AdamState", spy)
+        cfg = ExperimentConfig.from_dict(tiny_config(tmp_path, experiment=experiment,
+                                                     model=DTYPE_MODELS[kind]))
+        bundle = build_model(cfg, np.random.default_rng(0))
+        assert handed == [(np.float32, True, True)] * len(bundle.params)
+
     def test_a_float64_checkpoint_loads_by_rounding(self, tmp_path):
         # as written before trials moved to float32
         cfg = ExperimentConfig.from_dict(tiny_config(tmp_path))
@@ -955,7 +1000,8 @@ def test_every_engine_op_runs_in_some_model(tmp_path, monkeypatch):
         monkeypatch.setattr(T, name, spying(name, getattr(T, name)))
     smfr = {"kind": "smfr", "stack_width": 3, "stack_depth": 1, "fnn_hidden": [8]}
     trials = [
-        {"model": smfr},
+        # a band the first step leaves, so the penalty's node runs
+        {"model": smfr, "regularization": {"threshold": 1e-6}},
         {"model": {**smfr, "attention": "gumbel_st"}},
         {"model": {"kind": "fnn", "hidden_widths": [8]}},
         {"experiment": "algo", "model": {"kind": "transformer", "model_width": 8,
@@ -1029,25 +1075,38 @@ class TestTrainingGraph:
             tiny_config(tmp_path, batch_size=64, max_steps=1, eval_every=1, **edits)))
         return counts
 
+    SMFR = {"kind": "smfr", "stack_width": 8, "stack_depth": 1,
+            "fnn_hidden": [100], "attention": "softmax"}
+    ALGO_SMFR = {**SMFR, "stack_width": 6, "stack_depth": 3}
+    # a band that a fresh model's logits leave
+    BEYOND = {"threshold": 1e-6}
+
     def test_smfr_training_loss_node_count(self, tmp_path, monkeypatch):
         # the benchmark's doubleadd SMFR model: each FNN layer is one affine
         # node, each Multiplexer's blend one mix node, each Fnnr's gated
         # blend one gate node behind its logit slice, each Fnnr's input one
         # concat of its routed and context blocks and one reshape, and the
-        # penalty one band_excess node over every logit tensor, and the loss
-        # one node on the output blocks, so splitting any of them again
-        # raises the count
-        model = {"kind": "smfr", "stack_width": 8, "stack_depth": 1,
-                 "fnn_hidden": [100], "attention": "softmax"}
-        assert self.training_loss_nodes(tmp_path, monkeypatch, model=model) == [30]
+        # loss one node on the output blocks, so splitting any of them again
+        # raises the count.  A fresh model's logits lie in the band, so the
+        # step builds no penalty
+        assert self.training_loss_nodes(tmp_path, monkeypatch, model=self.SMFR) == [28]
+
+    def test_smfr_training_loss_node_count_beyond_the_band(self, tmp_path, monkeypatch):
+        # the nodes above, the penalty's one band_excess node over every
+        # logit tensor and the add of it to the loss
+        assert self.training_loss_nodes(tmp_path, monkeypatch, model=self.SMFR,
+                                        regularization=self.BEYOND) == [30]
 
     def test_algo_smfr_training_loss_node_count(self, tmp_path, monkeypatch):
         # the depth-3 cell of the algo SMFR gate: four layers, each with the
         # nodes above, unrolled over a training episode's two rule steps
-        model = {"kind": "smfr", "stack_width": 6, "stack_depth": 3,
-                 "fnn_hidden": [100], "attention": "softmax"}
         assert self.training_loss_nodes(tmp_path, monkeypatch, experiment="algo",
-                                        model=model) == [115]
+                                        model=self.ALGO_SMFR) == [113]
+
+    def test_algo_smfr_training_loss_node_count_beyond_the_band(self, tmp_path, monkeypatch):
+        assert self.training_loss_nodes(tmp_path, monkeypatch, experiment="algo",
+                                        model=self.ALGO_SMFR,
+                                        regularization=self.BEYOND) == [115]
 
     def transformer_training_loss(self, tmp_path, monkeypatch):
         """The loss of one training step of the benchmark's algo Transformer,
@@ -1310,6 +1369,29 @@ class TestNonFiniteLoss:
         assert records[-1] == {**summary, "record": "final"}
         assert not os.path.exists(path + ".part")
         assert not os.path.exists(os.path.join(os.path.dirname(path), "0_final.ckpt"))
+
+    def test_a_nan_routing_logit_ends_a_gumbel_trial(self, tmp_path, monkeypatch):
+        # a NaN Multiplexer logit leaves the Gumbel one-hot, and so the task
+        # loss, finite; its peak reads NaN, which builds the penalty and
+        # makes the step's loss NaN at the poisoned step
+        model = {"kind": "smfr", "stack_width": 2, "stack_depth": 0, "fnn_hidden": [8],
+                 "attention": "gumbel_st"}
+        cfg = ExperimentConfig.from_dict(tiny_config(tmp_path, model=model, max_steps=8,
+                                                     eval_every=2))
+        first = next(iter(build_model(cfg, np.random.default_rng(0)).params))
+        assert first.startswith("smfr.layer0.mux.")
+        task_losses = []
+        loss_fn = T.cross_entropy_loss
+
+        def spy_loss(logits, targets):
+            task_losses.append(loss_fn(logits, targets))
+            return task_losses[-1]
+        monkeypatch.setattr(T, "cross_entropy_loss", spy_loss)
+        self.poison_after(monkeypatch, 5)
+        summary = run_trial(cfg)
+        assert summary["reason"] == "non_finite_loss"
+        assert summary["steps"] == 5
+        assert np.isfinite(task_losses[-1].data)
 
     def test_resume_keeps_the_record_and_report_reads_it(self, tmp_path, monkeypatch):
         self.poison_after(monkeypatch, 0)

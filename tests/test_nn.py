@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockops import tensor as T
 from blockops.nn import (
@@ -380,6 +384,55 @@ class TestRoutingRegularization:
         trace, _, _ = self.trace(np.zeros((1, 2, 2)), np.zeros((1, 2)))
         with pytest.raises(ValueError):
             routing_regularization_loss([trace], threshold=0.0)
+
+    def test_peak_is_order_independent_and_propagates_nan(self):
+        # a NaN anywhere, before or after a larger finite logit, reads NaN
+        logits = [np.full((1, 2, 2), 2.0), np.full((1, 2), -3.0),
+                  np.full((1, 2, 1), np.nan), np.full((1, 1), 0.5)]
+        for order in itertools.permutations(logits):
+            traces = [self.trace(order[0], order[1])[0], self.trace(order[2], order[3])[0]]
+            assert np.isnan(max_abs_routing_logit(traces))
+        finite = logits[:2] + [np.full((1, 2, 1), -1.0), logits[3]]
+        for order in itertools.permutations(finite):
+            traces = [self.trace(order[0], order[1])[0], self.trace(order[2], order[3])[0]]
+            assert max_abs_routing_logit(traces) == 3.0
+        assert max_abs_routing_logit([]) == 0.0
+
+
+@st.composite
+def in_band_float32_logits(draw):
+    """A threshold that float32 cannot hold exactly, and float32 Multiplexer
+    and gate logits whose |value| is at most that threshold, the largest
+    such float32 among the candidates."""
+    threshold = draw(st.just(0.1) | st.floats(1e-3, 1e3).filter(
+        lambda t: float(np.float32(t)) != t))
+    t32 = np.float32(threshold)
+    edges = [t32, np.nextafter(t32, np.float32(0)), np.nextafter(t32, np.float32(np.inf))]
+    value = (st.floats(-1.0, 1.0).map(lambda f: np.float32(f * threshold))
+             | st.sampled_from(edges + [-e for e in edges]))
+    value = value.filter(lambda v: abs(float(v)) <= threshold)
+    mux = draw(st.lists(value, min_size=4, max_size=4))
+    gate = draw(st.lists(value, min_size=2, max_size=2))
+    return threshold, mux, gate
+
+
+@settings(max_examples=200, deadline=None)
+@given(in_band_float32_logits())
+def test_in_band_float32_logits_add_exact_zeros(case):
+    # the training step skips the penalty when the peak |logit| is within
+    # the band; that keeps the bits only if the penalty there is exactly 0.0
+    # and adds +0.0 to every logit's gradient
+    threshold, mux_values, gate_values = case
+    mux = T.parameter(np.array(mux_values, dtype=np.float32).reshape(1, 2, 2))
+    gate = T.parameter(np.array(gate_values, dtype=np.float32).reshape(1, 2))
+    trace = LayerTrace(None, mux, None, gate, None)
+    assert max_abs_routing_logit([trace]) <= threshold
+    penalty = routing_regularization_loss([trace], threshold)
+    penalty.backward()
+    assert penalty.item() == 0.0 and not np.signbit(penalty.data)
+    for logits in (mux, gate):
+        # the -0.0 birth gradient plus the node's gradient: +0.0 only if it added +0.0
+        assert np.all(logits.grad == 0.0) and not np.signbit(logits.grad).any()
 
 
 class TestSmfrGradients:

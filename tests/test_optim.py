@@ -26,11 +26,11 @@ class TestAdam:
         adam_step(state)
         assert p.data[0] == pytest.approx(1.5)
 
-    def test_missing_gradient_treated_as_zero(self):
+    def test_minus_zero_birth_gradient_leaves_parameter(self):
         p = make_param([1.5])
         state = AdamState([p], learning_rate=3e-4)
         adam_step(state)
-        assert p.data[0] == pytest.approx(1.5)
+        assert p.data[0] == 1.5
 
     def test_grad_is_left_for_the_caller_to_zero(self):
         p = make_param([0.0], grad=[1.0])
@@ -187,10 +187,10 @@ class TestGradClipping:
         clip_global_norm(state, max_norm=0.1)
         assert np.allclose(a.grad, first, atol=1e-15)
 
-    def test_missing_grads_count_as_zero(self):
+    def test_minus_zero_birth_gradients_add_nothing_to_the_norm(self):
         a = make_param([0.0], grad=[4.0])
         b = make_param([0.0])
-        assert global_grad_norm(AdamState([a, b])) == pytest.approx(4.0)
+        assert global_grad_norm(AdamState([a, b])) == 4.0
 
     def test_float32_clip_keeps_the_dtype_and_scales_by_a_float32_factor(self):
         # a numpy float64 scale would upcast the product; a Python float

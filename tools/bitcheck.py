@@ -23,10 +23,12 @@ difference and exits 1 if there is any or a file is missing on either side,
 0 otherwise.
 
 ``drift`` says how far the results moved when the bits did.  For each case
-and seed it prints the last metrics record's loss and the final record's
-accuracies (nested ones by dotted name) on both sides, marks each value
-that differs with ``MOVED``, and counts them.  It exits 1 if a trial is
-missing on either side, 0 otherwise.
+and seed it prints the last metrics record's loss, the final record's
+accuracies (nested ones by dotted name) and its routing-logit peak and
+count of steps beyond the penalty's band (``max_routing_logit``,
+``steps_beyond_band``, which show whether a trial ran the penalty) on both
+sides, marks each value that differs with ``MOVED``, and counts them.  It
+exits 1 if a trial is missing on either side, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -95,6 +97,9 @@ CASES = {
     "bpmnist-fnn": {**BPMNIST, "model": FNN},
     "bpmnist-transformer": {**BPMNIST, "model": TRANSFORMER},
 }
+
+# final-record fields besides the accuracies that ``drift`` prints
+DRIFT_FIELDS = ("max_routing_logit", "steps_beyond_band")
 
 # fields that measure time or name the code and the place of a run
 IGNORED = frozenset({"eval_ms", "train_ms_per_step", "wall_time_s", "code_fingerprint",
@@ -255,7 +260,7 @@ def _final_values(path: str) -> dict:
         for key, value in fields.items():
             if isinstance(value, dict):
                 walk(value, f"{prefix}{key}.")
-            elif "accuracy" in key:
+            elif "accuracy" in key or key in DRIFT_FIELDS:
                 values[prefix + key] = value
     walk(records[-1], "")
     return values
@@ -298,8 +303,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("run", help="train the fixed trials into an empty directory")
     p.add_argument("out_dir")
     for name, help_text in (("compare", "diff two run directories"),
-                            ("drift", "print each trial's final loss and accuracies "
-                                      "on both sides")):
+                            ("drift", "print each trial's final loss, accuracies and "
+                                      "logit peak on both sides")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("dir_a")
         p.add_argument("dir_b")
